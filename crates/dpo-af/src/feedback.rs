@@ -16,9 +16,10 @@ use autokit::{presets::DrivingDomain, Controller, DeadlockPolicy, Product, World
 use drivesim::ScenarioKind;
 use glm2fsa::{synthesize, with_default_action, FsaOptions};
 use ltlcheck::specs::driving_specs;
-use ltlcheck::{verify_all_fair, Justice, SpecResult, VerificationReport};
+use ltlcheck::{verify_all_fair, Justice, Ltl, SpecResult, VerificationReport};
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
+use std::collections::HashMap;
+use std::sync::{Mutex, OnceLock};
 
 /// FSA-construction options for the driving domain: `stop` is a
 /// *reactive* action (`"if the light is not green, stop"` applies only
@@ -78,42 +79,56 @@ pub fn preflight_rule_book(d: &DrivingDomain) -> Result<(), Vec<speclint::Diagno
 /// gate. Corpus discrimination (`SL305`) needs a response corpus the
 /// pipeline does not have yet, so the gate runs worlds-only.
 ///
-/// The verdict is memoized process-wide: the shipped rule book and
-/// scenario models are fixed at compile time, so every run after the
-/// first returns the cached result. The first run's model-checking
-/// queries are counted in the obskit `speclint.semantic_*` metrics.
+/// The verdict is memoized process-wide per rule book, keyed on the
+/// book's formulas (`driving_specs(d)`): a repeat call with the same book
+/// returns the cached result, and a domain whose ids yield a different
+/// book is analyzed afresh. Only the formulas are keyed: a domain that
+/// differs from an analyzed one solely in ids its book never mentions
+/// (such as `flashing_ll`, which shapes the left-turn world) reuses that
+/// book's verdict. Each analysis's model-checking queries are counted in the obskit
+/// `speclint.semantic_*` metrics.
 pub fn preflight_rule_book_semantic(d: &DrivingDomain) -> Result<(), Vec<speclint::Diagnostic>> {
-    static VERDICT: OnceLock<Result<(), Vec<speclint::Diagnostic>>> = OnceLock::new();
-    VERDICT
-        .get_or_init(|| {
-            let free = speclint::presets::free_controller(
-                "free (driving)",
-                &[d.stop, d.turn_left, d.turn_right, d.go_straight].map(autokit::ActSet::singleton),
-            );
-            let mut input = speclint::SemanticInput {
-                specs: driving_specs(d),
-                vocab: Some(d.vocab.clone()),
-                ..Default::default()
-            };
-            for kind in ScenarioKind::all() {
-                input.worlds.push(speclint::SemanticWorld::from_parts(
-                    format!("{kind:?}"),
-                    &scenario_model(d, kind),
-                    &free,
-                    justice_for(d, kind),
-                ));
-            }
-            let errors: Vec<speclint::Diagnostic> = speclint::semantic::analyze(&input)
-                .into_iter()
-                .filter(|diag| diag.severity == speclint::Severity::Error)
-                .collect();
-            if errors.is_empty() {
-                Ok(())
-            } else {
-                Err(errors)
-            }
-        })
-        .clone()
+    type Verdict = Result<(), Vec<speclint::Diagnostic>>;
+    static VERDICTS: OnceLock<Mutex<HashMap<Vec<Ltl>, Verdict>>> = OnceLock::new();
+    let lock = || match VERDICTS.get_or_init(Mutex::default).lock() {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    };
+
+    let specs = driving_specs(d);
+    let book: Vec<Ltl> = specs.iter().map(|s| s.formula.clone()).collect();
+    if let Some(hit) = lock().get(&book) {
+        return hit.clone();
+    }
+    // Analyze outside the lock: a racing double analysis of one book is
+    // idempotent, and distinct books do not wait on each other.
+    let free = speclint::presets::free_controller(
+        "free (driving)",
+        &[d.stop, d.turn_left, d.turn_right, d.go_straight].map(autokit::ActSet::singleton),
+    );
+    let mut input = speclint::SemanticInput {
+        specs,
+        vocab: Some(d.vocab.clone()),
+        ..Default::default()
+    };
+    for kind in ScenarioKind::all() {
+        input.worlds.push(speclint::SemanticWorld::from_parts(
+            format!("{kind:?}"),
+            &scenario_model(d, kind),
+            &free,
+            justice_for(d, kind),
+        ));
+    }
+    let errors: Vec<speclint::Diagnostic> = speclint::semantic::analyze(&input)
+        .into_iter()
+        .filter(|diag| diag.severity == speclint::Severity::Error)
+        .collect();
+    let verdict = if errors.is_empty() {
+        Ok(())
+    } else {
+        Err(errors)
+    };
+    lock().entry(book).or_insert(verdict).clone()
 }
 
 /// Pre-flight static analysis of one response's step list: runs the
@@ -398,6 +413,29 @@ mod tests {
     use crate::domain::{render_response, Style};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The semantic pre-flight memo is keyed on the rule book: a clean
+    /// book's cached verdict must not leak to a different book analyzed
+    /// later in the same process.
+    #[test]
+    fn semantic_preflight_memo_is_per_rule_book() {
+        let clean = DrivingDomain::new();
+        assert!(preflight_rule_book_semantic(&clean).is_ok());
+        // Aliasing `go straight` to `stop` turns Φ₃ into "never stop
+        // without a green light" and keeps Φ₈ "without a green light,
+        // eventually stop": in a world with no traffic light no fair
+        // path satisfies both (SL303).
+        let mut aliased = DrivingDomain::new();
+        aliased.go_straight = aliased.stop;
+        let errors = preflight_rule_book_semantic(&aliased).expect_err("conflicting book");
+        assert!(
+            errors.iter().any(|e| e.code.code() == "SL303"),
+            "{errors:?}"
+        );
+        // Both verdicts stay cached side by side.
+        assert!(preflight_rule_book_semantic(&clean).is_ok());
+        assert!(preflight_rule_book_semantic(&aliased).is_err());
+    }
 
     #[test]
     fn justice_is_realizable_in_every_scenario() {

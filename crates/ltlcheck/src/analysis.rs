@@ -10,7 +10,7 @@
 //!   passes **vacuously** — the rule never actually constrains anything.
 
 use crate::buchi::Buchi;
-use crate::mc::{eval_bool, find_fair_lasso, is_propositional};
+use crate::mc::{eval_bool, fair_lasso_exists, is_propositional};
 use crate::{check_graph, Justice, Ltl};
 use autokit::{ActSet, LabelGraph, PropSet};
 use std::collections::HashMap;
@@ -168,9 +168,11 @@ pub fn equivalent(a: &Ltl, b: &Ltl) -> bool {
 /// existential query each.
 ///
 /// Automata come from [`spec_automaton`], so sweeping the same rule book
-/// over several worlds builds each automaton once.
+/// over several worlds builds each automaton once. Only the yes/no answer
+/// is computed: the product search stops at the first fair accepting
+/// component and never extracts a lasso (DESIGN.md §15).
 pub fn exists_fair_path(graph: &LabelGraph, phi: &Ltl, justice: &[Justice]) -> bool {
-    find_fair_lasso(graph, &spec_automaton(phi), justice).is_some()
+    fair_lasso_exists(graph, &spec_automaton(phi), justice)
 }
 
 /// **Universal** model checking through the automaton cache: `true` iff
@@ -178,9 +180,11 @@ pub fn exists_fair_path(graph: &LabelGraph, phi: &Ltl, justice: &[Justice]) -> b
 ///
 /// Verdict-identical to `check_graph_fair(graph, phi, justice).holds()`,
 /// but the negation automaton is memoized by [`spec_automaton`], which
-/// matters when the same rules are checked across many worlds.
+/// matters when the same rules are checked across many worlds, and the
+/// search stops at the first counterexample component without building
+/// the lasso.
 pub fn holds_fair(graph: &LabelGraph, phi: &Ltl, justice: &[Justice]) -> bool {
-    find_fair_lasso(graph, &spec_automaton(&Ltl::not(phi.clone())), justice).is_none()
+    !fair_lasso_exists(graph, &spec_automaton(&Ltl::not(phi.clone())), justice)
 }
 
 /// Product-reachability query: the step labels `(σ, a)` of every node
@@ -276,7 +280,9 @@ pub fn vacuous_pass(graph: &LabelGraph, phi: &Ltl) -> Option<Vacuity> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mc::find_fair_lasso;
     use crate::parse;
+    use crate::testgen::{arb_justice, arb_label_graph};
     use autokit::{ActSet, ProductState, PropSet, Vocab};
     use proptest::prelude::*;
 
@@ -462,14 +468,28 @@ mod tests {
     #[test]
     fn holds_fair_matches_check_graph_fair() {
         let v = vocab();
-        let graph = two_phase_graph(&v);
-        for src in ["a", "G a", "F (G b)", "X b", "F (a & !a)"] {
-            let phi = parse(src, &v).unwrap();
-            assert_eq!(
-                holds_fair(&graph, &phi, &[]),
-                check_graph(&graph, &phi).holds(),
-                "{src}"
-            );
+        let mut graph = two_phase_graph(&v);
+        // Let paths park on node 0 so justice has something to exclude.
+        graph.succs[0].push(0);
+        let justices = [
+            vec![],
+            vec![Justice::new("b", parse("b", &v).unwrap()).unwrap()],
+            vec![
+                Justice::new("b", parse("b", &v).unwrap()).unwrap(),
+                Justice::new("s", parse("s", &v).unwrap()).unwrap(),
+            ],
+            vec![Justice::new("a & b", parse("a & b", &v).unwrap()).unwrap()],
+        ];
+        for justice in &justices {
+            for src in ["a", "G a", "F (G b)", "X b", "F (a & !a)", "G F a", "F b"] {
+                let phi = parse(src, &v).unwrap();
+                assert_eq!(
+                    holds_fair(&graph, &phi, justice),
+                    crate::check_graph_fair(&graph, &phi, justice).holds(),
+                    "{src} under {} justice condition(s)",
+                    justice.len()
+                );
+            }
         }
     }
 
@@ -555,6 +575,30 @@ mod tests {
         #[test]
         fn nnf_is_equivalent(phi in arb_ltl()) {
             prop_assert!(equivalent(&phi, &phi.nnf()));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The early-stop emptiness check answers exactly like the full
+        /// search with lasso extraction, existentially and universally.
+        #[test]
+        fn early_stop_matches_full_search(
+            graph in arb_label_graph(),
+            phi in arb_ltl(),
+            justice in arb_justice(),
+        ) {
+            prop_assert_eq!(
+                exists_fair_path(&graph, &phi, &justice),
+                find_fair_lasso(&graph, &spec_automaton(&phi), &justice).is_some(),
+                "exists: phi = {:?}", phi
+            );
+            prop_assert_eq!(
+                holds_fair(&graph, &phi, &justice),
+                crate::check_graph_fair(&graph, &phi, &justice).holds(),
+                "holds: phi = {:?}", phi
+            );
         }
     }
 }

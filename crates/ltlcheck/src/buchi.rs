@@ -107,13 +107,49 @@ pub struct BuchiState {
     pub succs: Vec<usize>,
     /// Whether this state belongs to the (single) acceptance set.
     pub accepting: bool,
+    /// `pos`/`neg` compiled to bitmasks once at construction, so a
+    /// label test is four AND/compare operations.
+    masks: LiteralMasks,
+}
+
+/// A state's literal constraints as `PropSet`/`ActSet` bitmasks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LiteralMasks {
+    pos_props: u32,
+    pos_acts: u32,
+    neg_props: u32,
+    neg_acts: u32,
+}
+
+impl LiteralMasks {
+    fn compile(pos: &[Atom], neg: &[Atom]) -> LiteralMasks {
+        let bits = |atoms: &[Atom]| {
+            atoms.iter().fold((0u32, 0u32), |(p, a), atom| match *atom {
+                Atom::Prop(id) => (p | PropSet::singleton(id).bits(), a),
+                Atom::Act(id) => (p, a | ActSet::singleton(id).bits()),
+            })
+        };
+        let (pos_props, pos_acts) = bits(pos);
+        let (neg_props, neg_acts) = bits(neg);
+        LiteralMasks {
+            pos_props,
+            pos_acts,
+            neg_props,
+            neg_acts,
+        }
+    }
 }
 
 impl BuchiState {
     /// Checks whether a step label satisfies this state's constraints.
+    #[inline]
     pub fn matches(&self, props: PropSet, acts: ActSet) -> bool {
-        self.pos.iter().all(|a| a.holds(props, acts))
-            && self.neg.iter().all(|a| !a.holds(props, acts))
+        let m = &self.masks;
+        let (p, a) = (props.bits(), acts.bits());
+        p & m.pos_props == m.pos_props
+            && a & m.pos_acts == m.pos_acts
+            && p & m.neg_props == 0
+            && a & m.neg_acts == 0
     }
 }
 
@@ -373,6 +409,7 @@ fn degeneralize(nodes: &[TNode], closure: &Closure) -> Buchi {
         for (id, node) in nodes.iter().enumerate() {
             let (pos, neg) = literals(node);
             states.push(BuchiState {
+                masks: LiteralMasks::compile(&pos, &neg),
                 pos,
                 neg,
                 succs: Vec::new(),

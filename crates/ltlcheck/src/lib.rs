@@ -14,8 +14,11 @@
 //! * [`check_graph`] / [`verify`] — automata-theoretic model checking:
 //!   the negated specification is translated to a Büchi automaton, composed
 //!   with the product automaton's label graph, and checked for emptiness
-//!   with a nested depth-first search. Violations come with a **lasso
-//!   counterexample** rendered in the paper's `(p, q, c ∪ a)` trace format.
+//!   by SCC decomposition. Violations come with a **lasso
+//!   counterexample** rendered in the paper's `(p, q, c ∪ a)` trace format;
+//!   yes/no queries ([`analysis::exists_fair_path`],
+//!   [`analysis::holds_fair`]) stop at the first fair accepting component
+//!   instead.
 //! * [`finite`] — LTL over *finite* traces (LTLf semantics), used for the
 //!   paper's empirical evaluation of simulator rollouts (its Eq. 2).
 //! * [`specs`] — the paper's 15 driving-rule specifications Φ₁..Φ₁₅
@@ -67,6 +70,8 @@ mod parser;
 pub mod smv;
 pub mod specs;
 pub mod symbolic;
+#[cfg(test)]
+mod testgen;
 
 pub use ast::{Atom, Ltl};
 pub use buchi::{Buchi, BuchiState, MAX_CLOSURE};

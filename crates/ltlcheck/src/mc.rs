@@ -473,17 +473,121 @@ pub fn verify_all_fair_pooled<'a>(
 /// Product state for emptiness checking: (graph node, Büchi state).
 type PState = (u32, u32);
 
+/// `graph ⊗ buchi` compiled for search; [`explore`] and
+/// [`fair_lasso_exists`] both run on it.
+///
+/// * **Ids.** Product-state ids live in a dense `(graph node, Büchi
+///   state)` table holding `id + 1` (0 = not yet discovered) instead of
+///   a hashed map.
+/// * **Successor rows.** Label-consistent Büchi successors are grouped
+///   by graph label: row `(b, l)` lists, in `b`'s successor order, the
+///   successors of Büchi state `b` whose literals label `l` satisfies.
+///   Graph nodes sharing a label share the row, so expanding a state
+///   walks only its consistent successor pairs instead of testing every
+///   graph successor against every Büchi successor. Rows are built on
+///   first use.
+///
+/// Both tables are allocated zeroed, so the pages of entries a search
+/// never reaches are never faulted in.
+struct CompiledProduct<'a> {
+    graph: &'a LabelGraph,
+    buchi: &'a Buchi,
+    nb: usize,
+    ids: Vec<u32>,
+    /// Dense id of each graph node's label.
+    label: Vec<u32>,
+    num_labels: usize,
+    /// Per `(b, label)`: `[start + 1, end]` of its row in `rows`
+    /// (`[0, _]` = not built yet).
+    spans: Vec<[u32; 2]>,
+    rows: Vec<u32>,
+}
+
+impl<'a> CompiledProduct<'a> {
+    fn new(graph: &'a LabelGraph, buchi: &'a Buchi) -> CompiledProduct<'a> {
+        let mut label_ids: std::collections::HashMap<(PropSet, ActSet), u32> =
+            std::collections::HashMap::new();
+        let label: Vec<u32> = graph
+            .labels
+            .iter()
+            .map(|&l| {
+                let next = label_ids.len() as u32;
+                *label_ids.entry(l).or_insert(next)
+            })
+            .collect();
+        let nb = buchi.num_states();
+        CompiledProduct {
+            graph,
+            buchi,
+            nb,
+            ids: vec![0; graph.num_nodes() * nb],
+            label,
+            num_labels: label_ids.len(),
+            spans: vec![[0; 2]; nb * label_ids.len()],
+            rows: Vec::new(),
+        }
+    }
+
+    /// Whether the pair `(g, b)` is label-consistent.
+    fn matches(&self, g: usize, b: usize) -> bool {
+        let (props, acts) = self.graph.labels[g];
+        self.buchi.states()[b].matches(props, acts)
+    }
+
+    #[inline]
+    fn id(&self, g: usize, b: usize) -> Option<u32> {
+        self.ids[g * self.nb + b].checked_sub(1)
+    }
+
+    #[inline]
+    fn set_id(&mut self, g: usize, b: usize, id: u32) {
+        self.ids[g * self.nb + b] = id + 1;
+    }
+
+    /// The Büchi successors of `b` consistent with graph node `g2`'s
+    /// label, as a range of `self.rows`.
+    #[inline]
+    fn row(&mut self, b: usize, g2: usize) -> std::ops::Range<usize> {
+        let slot = b * self.num_labels + self.label[g2] as usize;
+        let [start, end] = self.spans[slot];
+        if start != 0 {
+            return start as usize - 1..end as usize;
+        }
+        let (props, acts) = self.graph.labels[g2];
+        let bs = self.buchi.states();
+        let start = self.rows.len();
+        self.rows.extend(
+            bs[b]
+                .succs
+                .iter()
+                .filter(|&&b2| bs[b2].matches(props, acts))
+                .map(|&b2| b2 as u32),
+        );
+        self.spans[slot] = [start as u32 + 1, self.rows.len() as u32];
+        start..self.rows.len()
+    }
+}
+
 /// The explored product `graph ⊗ buchi`: reachable label-consistent
 /// pairs, BFS parents (for stems), successor lists, and the Tarjan SCC
 /// decomposition.
 struct Exploration {
     states: Vec<PState>,
     parents: Vec<Option<u32>>,
-    succs: Vec<Vec<u32>>,
+    /// Successor lists, flattened: state `v`'s sorted, deduplicated
+    /// successors are `succ_list[succ_start[v]..succ_start[v + 1]]`.
+    succ_start: Vec<usize>,
+    succ_list: Vec<u32>,
     /// Component id per state, in Tarjan completion order: cross-component
     /// edges strictly decrease the id.
     comp: Vec<u32>,
     num_comps: usize,
+}
+
+impl Exploration {
+    fn succs(&self, v: u32) -> &[u32] {
+        &self.succ_list[self.succ_start[v as usize]..self.succ_start[v as usize + 1]]
+    }
 }
 
 /// Searches `graph ⊗ buchi` for a reachable SCC that contains a
@@ -509,49 +613,40 @@ pub(crate) fn find_fair_lasso(
 // condition.
 #[allow(clippy::expect_used)] // ALLOW: failure here is a bug in this function, never an input condition.
 fn explore(graph: &LabelGraph, buchi: &Buchi) -> Exploration {
-    let matches = |g: u32, b: u32| -> bool {
-        let (props, acts) = graph.labels[g as usize];
-        buchi.states()[b as usize].matches(props, acts)
-    };
-
     // --- reachable product exploration (BFS, with parents for stems) ----
-    let mut index: std::collections::HashMap<PState, u32> = std::collections::HashMap::new();
+    let mut product = CompiledProduct::new(graph, buchi);
     let mut states: Vec<PState> = Vec::new();
     let mut parents: Vec<Option<u32>> = Vec::new();
-    let mut succs: Vec<Vec<u32>> = Vec::new();
-    let mut queue = std::collections::VecDeque::new();
 
     for &g in &graph.initial {
         for &b in buchi.initial() {
-            let s = (g as u32, b as u32);
-            if matches(s.0, s.1) && !index.contains_key(&s) {
-                let id = states.len() as u32;
-                index.insert(s, id);
-                states.push(s);
+            if product.matches(g, b) && product.id(g, b).is_none() {
+                product.set_id(g, b, states.len() as u32);
+                states.push((g as u32, b as u32));
                 parents.push(None);
-                succs.push(Vec::new());
-                queue.push_back(id);
             }
         }
     }
-    while let Some(id) = queue.pop_front() {
-        let (g, b) = states[id as usize];
-        let mut out = Vec::new();
+    // Ids are handed out in discovery order, so the FIFO queue of a BFS
+    // is exactly the id sequence: state `id` is expanded at step `id`,
+    // and its successors are appended to the flat list in id order.
+    let mut succ_start: Vec<usize> = vec![0];
+    let mut succ_list: Vec<u32> = Vec::new();
+    let mut out: Vec<u32> = Vec::new();
+    let mut id = 0usize;
+    while id < states.len() {
+        let (g, b) = states[id];
+        out.clear();
         for &g2 in &graph.succs[g as usize] {
-            for &b2 in &buchi.states()[b as usize].succs {
-                let t = (g2 as u32, b2 as u32);
-                if !matches(t.0, t.1) {
-                    continue;
-                }
-                let tid = match index.get(&t) {
-                    Some(&tid) => tid,
+            for k in product.row(b as usize, g2) {
+                let b2 = product.rows[k] as usize;
+                let tid = match product.id(g2, b2) {
+                    Some(tid) => tid,
                     None => {
                         let tid = states.len() as u32;
-                        index.insert(t, tid);
-                        states.push(t);
-                        parents.push(Some(id));
-                        succs.push(Vec::new());
-                        queue.push_back(tid);
+                        product.set_id(g2, b2, tid);
+                        states.push((g2 as u32, b2 as u32));
+                        parents.push(Some(id as u32));
                         tid
                     }
                 };
@@ -560,11 +655,16 @@ fn explore(graph: &LabelGraph, buchi: &Buchi) -> Exploration {
         }
         out.sort_unstable();
         out.dedup();
-        succs[id as usize] = out;
+        succ_list.extend_from_slice(&out);
+        succ_start.push(succ_list.len());
+        id += 1;
     }
+    // Free the pair tables before the Tarjan pass allocates its own.
+    drop(product);
 
     // --- iterative Tarjan SCC ------------------------------------------
     let n = states.len();
+    let succs = |v: u32| &succ_list[succ_start[v as usize]..succ_start[v as usize + 1]];
     let mut comp = vec![u32::MAX; n];
     let mut low = vec![0u32; n];
     let mut disc = vec![u32::MAX; n];
@@ -585,8 +685,7 @@ fn explore(graph: &LabelGraph, buchi: &Buchi) -> Exploration {
         stack.push(root);
         on_stack[root as usize] = true;
         while let Some(&mut (v, ref mut cursor)) = call.last_mut() {
-            if *cursor < succs[v as usize].len() {
-                let w = succs[v as usize][*cursor];
+            if let Some(&w) = succs(v).get(*cursor) {
                 *cursor += 1;
                 if disc[w as usize] == u32::MAX {
                     disc[w as usize] = next_disc;
@@ -627,7 +726,8 @@ fn explore(graph: &LabelGraph, buchi: &Buchi) -> Exploration {
     Exploration {
         states,
         parents,
-        succs,
+        succ_start,
+        succ_list,
         comp,
         num_comps: next_comp as usize,
     }
@@ -662,7 +762,7 @@ fn find_fair_scc(
                 fair[c][j] = true;
             }
         }
-        for &w in &ex.succs[v] {
+        for &w in ex.succs(v as u32) {
             if ex.comp[w as usize] as usize == c {
                 has_edge[c] = true;
             }
@@ -670,6 +770,156 @@ fn find_fair_scc(
     }
 
     (0..num_comps).find(|&c| has_edge[c] && accept[c] && (0..nf).all(|j| fair[c][j]))
+}
+
+/// Decides whether `graph ⊗ buchi` has a reachable fair accepting cycle
+/// — the yes/no half of [`find_fair_lasso`], without the lasso.
+///
+/// One on-the-fly iterative Tarjan pass over the [`CompiledProduct`]:
+/// states get ids in depth-first discovery order (so an id doubles as
+/// the Tarjan discovery index), successors are enumerated lazily row by
+/// row, and the search stops the moment a component
+/// completes that has an internal edge, a Büchi-accepting state and a
+/// witness of every justice condition. When no such component exists,
+/// the search covers exactly the reachable product, like
+/// [`find_fair_lasso`]; when one does, it usually stops far earlier,
+/// and it never builds parents, successor lists or a lasso.
+///
+/// Every reachable fair SCC of the product contains a fair accepting
+/// cycle and vice versa, so the answer equals
+/// `find_fair_lasso(graph, buchi, justice).is_some()`.
+pub(crate) fn fair_lasso_exists(graph: &LabelGraph, buchi: &Buchi, justice: &[Justice]) -> bool {
+    /// A suspended expansion of product state `v`: graph successor
+    /// `g2` is being paired with the Büchi successors at `rows[k..end]`,
+    /// and graph successor number `next_g` comes after it.
+    struct Frame {
+        v: u32,
+        next_g: usize,
+        g2: usize,
+        k: usize,
+        end: usize,
+        /// Position of `v` on the Tarjan stack.
+        stack_pos: usize,
+        /// `v` is its own successor.
+        self_loop: bool,
+    }
+    /// `low` value of a state whose component has completed.
+    const DONE: u32 = u32::MAX;
+
+    let bs = buchi.states();
+    if bs.is_empty() {
+        return false;
+    }
+    let mut product = CompiledProduct::new(graph, buchi);
+    // Per state (indexed by id = discovery index): the product pair, and
+    // the Tarjan low-link (`DONE` once its component is closed).
+    let mut states: Vec<PState> = Vec::new();
+    let mut low: Vec<u32> = Vec::new();
+    let mut stack: Vec<u32> = Vec::new();
+    let mut call: Vec<Frame> = Vec::new();
+    let mut found = false;
+
+    let frame = |v: u32, stack_pos: usize| Frame {
+        v,
+        next_g: 0,
+        g2: 0,
+        k: 0,
+        end: 0,
+        stack_pos,
+        self_loop: false,
+    };
+
+    'roots: for &g0 in &graph.initial {
+        for &b0 in buchi.initial() {
+            if !product.matches(g0, b0) || product.id(g0, b0).is_some() {
+                continue;
+            }
+            let v = states.len() as u32;
+            product.set_id(g0, b0, v);
+            states.push((g0 as u32, b0 as u32));
+            low.push(v);
+            call.push(frame(v, stack.len()));
+            stack.push(v);
+
+            while let Some(top) = call.last_mut() {
+                // Advance to the next label-consistent successor pair.
+                let v = top.v;
+                let (g, b) = states[v as usize];
+                let next = loop {
+                    if top.k < top.end {
+                        top.k += 1;
+                        break Some((top.g2, product.rows[top.k - 1] as usize));
+                    }
+                    let Some(&g2) = graph.succs[g as usize].get(top.next_g) else {
+                        break None;
+                    };
+                    top.next_g += 1;
+                    let row = product.row(b as usize, g2);
+                    (top.g2, top.k, top.end) = (g2, row.start, row.end);
+                };
+                if let Some((g2, b2)) = next {
+                    match product.id(g2, b2) {
+                        Some(w) => {
+                            top.self_loop |= w == v;
+                            if low[w as usize] != DONE {
+                                low[v as usize] = low[v as usize].min(w);
+                            }
+                        }
+                        None => {
+                            let w = states.len() as u32;
+                            product.set_id(g2, b2, w);
+                            states.push((g2 as u32, b2 as u32));
+                            low.push(w);
+                            call.push(frame(w, stack.len()));
+                            stack.push(w);
+                        }
+                    }
+                    continue;
+                }
+
+                // `v` is fully expanded.
+                let Frame {
+                    stack_pos,
+                    self_loop,
+                    ..
+                } = *top;
+                call.pop();
+                if let Some(parent) = call.last() {
+                    low[parent.v as usize] = low[parent.v as usize].min(low[v as usize]);
+                }
+                if low[v as usize] != v {
+                    continue;
+                }
+                // `v` roots a component: its members are the stack
+                // entries from `v` up.
+                let scc = &stack[stack_pos..];
+                let fair = (scc.len() > 1 || self_loop)
+                    && scc
+                        .iter()
+                        .any(|&w| bs[states[w as usize].1 as usize].accepting)
+                    && justice.iter().all(|j| {
+                        scc.iter().any(|&w| {
+                            let (props, acts) = graph.labels[states[w as usize].0 as usize];
+                            j.holds(props, acts)
+                        })
+                    });
+                if fair {
+                    found = true;
+                    break 'roots;
+                }
+                for &w in scc {
+                    low[w as usize] = DONE;
+                }
+                stack.truncate(stack_pos);
+            }
+        }
+    }
+
+    if obskit::enabled() {
+        obskit::counter_add("ltlcheck.emptiness_checks", 1);
+        obskit::counter_add("ltlcheck.emptiness_states", states.len() as u64);
+    }
+    found
 }
 
 /// Extracts a lasso counterexample through the fair accepting SCC
@@ -689,7 +939,6 @@ fn extract_lasso(
     let Exploration {
         states,
         parents,
-        succs,
         comp,
         ..
     } = ex;
@@ -712,29 +961,35 @@ fn extract_lasso(
     // Cycle: inside the SCC, walk entry → accepting witness → each justice
     // witness → back to entry, via BFS restricted to the SCC.
     let in_comp = |v: u32| comp[v as usize] as usize == target_comp;
-    let bfs_path = |from: u32, to: u32, require_step: bool| -> Vec<u32> {
+    // BFS parents, dense over the product and shared by every segment;
+    // each search resets exactly the entries it set (its queue).
+    const UNSEEN: u32 = u32::MAX;
+    let mut par = vec![UNSEEN; n];
+    let mut queue: Vec<u32> = Vec::new();
+    let mut bfs_path = |from: u32, to: u32, require_step: bool| -> Vec<u32> {
         // Path of nodes after `from` ending at `to` (possibly empty if
         // from == to and !require_step).
         if from == to && !require_step {
             return Vec::new();
         }
-        let mut par: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-        let mut q = std::collections::VecDeque::new();
+        queue.clear();
         // Seed with successors of `from` so a self-loop is found.
-        for &w in &succs[from as usize] {
-            if in_comp(w) && !par.contains_key(&w) {
-                par.insert(w, from);
-                q.push_back(w);
+        for &w in ex.succs(from) {
+            if in_comp(w) && par[w as usize] == UNSEEN {
+                par[w as usize] = from;
+                queue.push(w);
             }
         }
-        while let Some(v) = q.pop_front() {
+        let mut head = 0;
+        while let Some(&v) = queue.get(head) {
+            head += 1;
             if v == to {
                 break;
             }
-            for &w in &succs[v as usize] {
-                if in_comp(w) && !par.contains_key(&w) {
-                    par.insert(w, v);
-                    q.push_back(w);
+            for &w in ex.succs(v) {
+                if in_comp(w) && par[w as usize] == UNSEEN {
+                    par[w as usize] = v;
+                    queue.push(w);
                 }
             }
         }
@@ -743,7 +998,8 @@ fn extract_lasso(
         let mut path = vec![to];
         let mut cur = to;
         loop {
-            let p = *par.get(&cur).expect("target reachable within SCC");
+            let p = par[cur as usize];
+            assert!(p != UNSEEN, "target reachable within SCC");
             if p == from {
                 break;
             }
@@ -751,6 +1007,9 @@ fn extract_lasso(
             cur = p;
         }
         path.reverse();
+        for &v in &queue {
+            par[v as usize] = UNSEEN;
+        }
         path
     };
 
@@ -919,9 +1178,13 @@ pub fn holds_on_lasso(
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::parse;
+    use crate::testgen::{arb_justice, arb_label_graph};
     use autokit::{ControllerBuilder, Guard};
     use proptest::prelude::*;
 
@@ -1413,6 +1676,36 @@ mod tests {
                 let neg = Ltl::not(phi);
                 prop_assert!(holds_on_lasso(&neg, &cex.stem_labels(), &cex.cycle_labels()));
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The compiled explorer reproduces the hash-map reference
+        /// explorer exactly: same verdicts, same lassos, and the same
+        /// emptiness certificates (explored pairs in the same order,
+        /// same component ids).
+        #[test]
+        fn compiled_explorer_matches_reference(
+            graph in arb_label_graph(),
+            phi in arb_ltl(),
+            justice in arb_justice(),
+        ) {
+            let want = reference::check_graph_fair_certified(&graph, &phi, &justice);
+            match (check_graph_fair_certified(&graph, &phi, &justice), &want) {
+                (CertifiedVerdict::Holds(got), CertifiedVerdict::Holds(want)) => {
+                    prop_assert_eq!(&got.states, &want.states);
+                    prop_assert_eq!(&got.comp, &want.comp);
+                    prop_assert_eq!(got.buchi.states(), want.buchi.states());
+                    prop_assert_eq!(got.buchi.initial(), want.buchi.initial());
+                }
+                (CertifiedVerdict::Fails(got), CertifiedVerdict::Fails(want)) => {
+                    prop_assert_eq!(&got, want);
+                }
+                (got, _) => prop_assert!(false, "verdicts differ: holds = {}", got.holds()),
+            }
+            prop_assert_eq!(check_graph_fair(&graph, &phi, &justice), want.verdict());
         }
     }
 }
