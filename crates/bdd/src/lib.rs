@@ -18,6 +18,12 @@
 //! [`BddManager::cache_lookups`]; [`BddManager::peak_nodes`] tracks the
 //! high-water mark of the node store.
 //!
+//! Nodes are reclaimed in stack order: [`BddManager::mark`] records the
+//! node-store watermark and [`BddManager::release`] drops every node
+//! built after it. A long-lived base (a compiled transition relation)
+//! stays below the mark while per-query work is built above it and
+//! dropped when the query is answered.
+//!
 //! This crate is the symbolic kernel behind `ltlcheck`'s NuSMV-style
 //! backend: transition relations of product automata are encoded over
 //! current/next state bits and fair cycles are found with symbolic
@@ -124,6 +130,11 @@ impl OpCache {
         self.slots[idx] = (a, b, c, r);
     }
 
+    /// Empties every slot, keeping the capacity.
+    fn clear(&mut self) {
+        self.slots.fill((EMPTY, 0, 0, FALSE));
+    }
+
     /// Doubles the cache, rehashing the surviving entries into their new
     /// buckets (entries are worth keeping — they are a pure speedup).
     fn grow(&mut self) {
@@ -150,6 +161,10 @@ const OP_CACHE_INIT: usize = 1 << 12;
 /// Initial size of the open-addressed unique table.
 const UNIQUE_INIT: usize = 1 << 12;
 
+/// A node-store watermark returned by [`BddManager::mark`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Mark(usize);
+
 /// A BDD manager: owns the node store and all caches.
 ///
 /// Variables are indexed `0..num_vars` and ordered by index (lower index
@@ -165,13 +180,18 @@ pub struct BddManager {
     ite_cache: OpCache,
     and_exists_cache: OpCache,
     quant_cache: HashMap<(Ref, u32), Ref>,
-    rename_cache: HashMap<(Ref, i64), Ref>,
+    rename_cache: HashMap<(Ref, u32), Ref>,
     /// Interned quantification variable sets: `var_sets[id]` is a sorted,
     /// deduplicated set. Set identity (not a hash of it) keys the
     /// quantification caches, so distinct sets can never collide.
     var_sets: Vec<Vec<u32>>,
     var_set_ids: HashMap<Vec<u32>, u32>,
+    /// Interned renaming maps, keyed into the rename cache the same way.
+    rename_maps: Vec<Vec<u32>>,
+    rename_map_ids: HashMap<Vec<u32>, u32>,
     num_vars: u32,
+    /// Largest node count seen before a [`release`](Self::release).
+    peak: usize,
     cache_lookups: u64,
     cache_hits: u64,
     rehashes: u64,
@@ -195,7 +215,10 @@ impl BddManager {
             rename_cache: HashMap::new(),
             var_sets: Vec::new(),
             var_set_ids: HashMap::new(),
+            rename_maps: Vec::new(),
+            rename_map_ids: HashMap::new(),
             num_vars,
+            peak: 0,
             cache_lookups: 0,
             cache_hits: 0,
             rehashes: 0,
@@ -220,18 +243,65 @@ impl BddManager {
         self.num_vars
     }
 
+    /// Raises the variable count to `num_vars` (never lowers it). New
+    /// variables order after every existing one, so functions built so
+    /// far are unaffected.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_vars` exceeds `2^31`.
+    pub fn raise_num_vars(&mut self, num_vars: u32) {
+        assert!(num_vars < (1 << 31), "too many variables");
+        self.num_vars = self.num_vars.max(num_vars);
+    }
+
     /// Number of live nodes (including the two terminals).
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
     }
 
-    /// High-water mark of the node store. The manager never reclaims
-    /// nodes, so this currently equals [`num_nodes`](Self::num_nodes);
-    /// it is exposed separately so callers report peak memory pressure
-    /// rather than an end-of-run residue if garbage collection is ever
-    /// added.
+    /// High-water mark of the node store over the manager's lifetime:
+    /// the most nodes that were ever live at once, including nodes since
+    /// dropped by [`release`](Self::release).
     pub fn peak_nodes(&self) -> usize {
-        self.nodes.len()
+        self.peak.max(self.nodes.len())
+    }
+
+    /// The current node-store watermark. Every node built after this
+    /// call is dropped by [`release`](Self::release) with the returned
+    /// mark; every `Ref` obtained before it stays valid.
+    pub fn mark(&self) -> Mark {
+        Mark(self.nodes.len())
+    }
+
+    /// Drops every node built since `mark` was taken, invalidating all
+    /// `Ref`s to them. Sound because children always precede their
+    /// parents in the store, so no node below the mark points above it.
+    ///
+    /// The unique table is rebuilt from the surviving nodes and every
+    /// operation cache is cleared: a released index is reused by the
+    /// next new node, so a stale entry would return the wrong function.
+    /// Table and cache capacities are kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store is already below `mark` (a mark taken before
+    /// an earlier release to a lower watermark).
+    pub fn release(&mut self, mark: Mark) {
+        assert!(
+            mark.0 <= self.nodes.len(),
+            "mark {} is above the node store ({} nodes)",
+            mark.0,
+            self.nodes.len()
+        );
+        self.peak = self.peak_nodes();
+        self.nodes.truncate(mark.0);
+        self.unique.fill(EMPTY);
+        self.reindex();
+        self.ite_cache.clear();
+        self.and_exists_cache.clear();
+        self.quant_cache.clear();
+        self.rename_cache.clear();
     }
 
     /// Total probes of the hot operation caches (`ite`, `and_exists`).
@@ -343,6 +413,11 @@ impl BddManager {
         self.unique = vec![EMPTY; new_cap];
         self.unique_mask = new_cap - 1;
         self.rehashes += 1;
+        self.reindex();
+    }
+
+    /// Inserts every non-terminal node into an empty unique table.
+    fn reindex(&mut self) {
         for (i, n) in self.nodes.iter().enumerate().skip(2) {
             let mut idx = (mix3(n.var, n.lo.0, n.hi.0) as usize) & self.unique_mask;
             while self.unique[idx] != EMPTY {
@@ -610,22 +685,58 @@ impl BddManager {
     ///
     /// Panics if any renamed variable falls outside the manager's range.
     pub fn rename_shift(&mut self, f: Ref, offset: i64) -> Ref {
+        // Variables whose image is out of range map to an out-of-range
+        // sentinel, which `rename` rejects only if `f` depends on them.
+        let map: Vec<u32> = (0..i64::from(self.num_vars))
+            .map(|v| u32::try_from(v + offset).unwrap_or(u32::MAX))
+            .collect();
+        self.rename(f, &map)
+    }
+
+    /// Renames every variable `v` of `f` to `map[v]`. The map must keep
+    /// the relative order of the variables `f` depends on (the renamed
+    /// diagram is rebuilt node for node, not reordered) — e.g. moving a
+    /// function between the current and next blocks of several
+    /// components at once, each with its own block offset.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` depends on a variable with no in-range image, or if
+    /// the map reorders the variables of `f`.
+    pub fn rename(&mut self, f: Ref, map: &[u32]) -> Ref {
+        let id = match self.rename_map_ids.get(map) {
+            Some(&id) => id,
+            None => {
+                let id = self.rename_maps.len() as u32;
+                self.rename_maps.push(map.to_vec());
+                self.rename_map_ids.insert(map.to_vec(), id);
+                id
+            }
+        };
+        let map = std::mem::take(&mut self.rename_maps[id as usize]);
+        let r = self.rename_inner(f, &map, id);
+        self.rename_maps[id as usize] = map;
+        r
+    }
+
+    fn rename_inner(&mut self, f: Ref, map: &[u32], map_id: u32) -> Ref {
         if f == TRUE || f == FALSE {
             return f;
         }
-        if let Some(&r) = self.rename_cache.get(&(f, offset)) {
+        if let Some(&r) = self.rename_cache.get(&(f, map_id)) {
             return r;
         }
         let n = self.node(f);
-        let new_var = i64::from(n.var) + offset;
+        let new_var = map.get(n.var as usize).copied().unwrap_or(u32::MAX);
+        assert!(new_var < self.num_vars, "renamed variable out of range");
+        let lo = self.rename_inner(n.lo, map, map_id);
+        let hi = self.rename_inner(n.hi, map, map_id);
         assert!(
-            (0..i64::from(self.num_vars)).contains(&new_var),
-            "renamed variable out of range"
+            new_var < self.var_of(lo) && new_var < self.var_of(hi),
+            "renaming must preserve the variable order"
         );
-        let lo = self.rename_shift(n.lo, offset);
-        let hi = self.rename_shift(n.hi, offset);
-        let r = self.mk(new_var as u32, lo, hi);
-        self.rename_cache.insert((f, offset), r);
+        let r = self.mk(new_var, lo, hi);
+        self.rename_cache.insert((f, map_id), r);
         r
     }
 
@@ -917,6 +1028,77 @@ mod tests {
         assert!(m.unique_rehashes() > 0 || m.num_nodes() < UNIQUE_INIT);
     }
 
+    #[test]
+    fn release_drops_nodes_and_keeps_the_peak() {
+        let mut m = BddManager::new(8);
+        let (a, b) = (m.var(0), m.var(1));
+        let f = m.and(a, b);
+        let mark = m.mark();
+        let base = m.num_nodes();
+        let lits: Vec<Ref> = (2..8).map(|i| m.var(i)).collect();
+        let _ = m.or_all(lits);
+        let high = m.num_nodes();
+        assert!(high > base);
+        m.release(mark);
+        assert_eq!(m.num_nodes(), base);
+        assert_eq!(m.peak_nodes(), high);
+        // Refs below the mark survive and stay canonical.
+        assert_eq!(m.and(a, b), f);
+        // Releasing at the current watermark is a no-op on the store.
+        m.release(m.mark());
+        assert_eq!(m.num_nodes(), base);
+    }
+
+    #[test]
+    #[should_panic(expected = "above the node store")]
+    fn release_rejects_a_stale_mark() {
+        let mut m = BddManager::new(4);
+        let low = m.mark();
+        let _ = m.var(0);
+        let high = m.mark();
+        m.release(low);
+        m.release(high);
+    }
+
+    #[test]
+    fn raised_variables_order_after_existing_ones() {
+        let mut m = BddManager::new(2);
+        let a = m.var(0);
+        m.raise_num_vars(4);
+        m.raise_num_vars(3); // never lowers
+        assert_eq!(m.num_vars(), 4);
+        let d = m.var(3);
+        let f = m.and(a, d);
+        assert!(m.eval(f, &[true, false, false, true]));
+        assert_eq!(m.exists(f, &[3]), a);
+    }
+
+    #[test]
+    fn rename_moves_components_by_their_own_offsets() {
+        // Two components with different block widths: [x0 | x1] and
+        // [y0 y1 | y0' y1'] at variables 0,1 and 2,3 | 4,5.
+        let mut m = BddManager::new(6);
+        let (x0, y0, y1) = (m.var(0), m.var(2), m.var(3));
+        let y = m.xor(y0, y1);
+        let f = m.and(x0, y);
+        let to_next = [1, 1, 4, 5, 4, 5];
+        let g = m.rename(f, &to_next);
+        let (x0n, y0n, y1n) = (m.var(1), m.var(4), m.var(5));
+        let yn = m.xor(y0n, y1n);
+        assert_eq!(g, m.and(x0n, yn));
+        let to_cur = [0, 0, 2, 3, 2, 3];
+        assert_eq!(m.rename(g, &to_cur), f);
+    }
+
+    #[test]
+    #[should_panic(expected = "preserve the variable order")]
+    fn rename_rejects_reordering_maps() {
+        let mut m = BddManager::new(2);
+        let (a, b) = (m.var(0), m.var(1));
+        let f = m.and(a, b);
+        let _ = m.rename(f, &[1, 0]);
+    }
+
     /// A tiny propositional formula AST for differential testing.
     #[derive(Debug, Clone)]
     enum Form {
@@ -1034,6 +1216,62 @@ mod tests {
             let conj = m.and(f, g);
             let two_step = m.exists(conj, &vars);
             prop_assert_eq!(fused, two_step);
+        }
+
+        /// Nodes built below a mark survive a release unchanged: `f`
+        /// rebuilds to the same `Ref`. Nothing released leaks out of a
+        /// cache either: every operation repeated after the release
+        /// (whose cache entries, if kept, would name reused indices)
+        /// and a fresh one still match their truth tables.
+        #[test]
+        fn release_keeps_the_base_and_forgets_the_rest(
+            f in arb_form(5),
+            g in arb_form(5),
+            h in arb_form(5),
+            mask in 1u32..32,
+        ) {
+            let env_of = |bits: u32| -> Vec<bool> { (0..5).map(|i| bits & (1 << i) != 0).collect() };
+            let vars: Vec<u32> = (0..5).filter(|i| mask & (1 << i) != 0).collect();
+            let mut m = BddManager::new(5);
+            let fr = build(&mut m, &f);
+            let mark = m.mark();
+            let gr = build(&mut m, &g);
+            let _ = m.and_exists(fr, gr, &vars);
+            let _ = m.exists(gr, &vars);
+            let _ = m.rename_shift(gr, 0);
+            m.release(mark);
+
+            prop_assert_eq!(build(&mut m, &f), fr);
+            for round in 0..2 {
+                let hr = build(&mut m, &h);
+                let gr = build(&mut m, &g);
+                let fused = m.and_exists(fr, gr, &vars);
+                let ex = m.exists(gr, &vars);
+                let same = m.rename_shift(gr, 0);
+                for bits in 0..32u32 {
+                    let env = env_of(bits);
+                    prop_assert_eq!(m.eval(gr, &env), truth(&g, &env), "round {}", round);
+                    prop_assert_eq!(m.eval(hr, &env), truth(&h, &env), "round {}", round);
+                    prop_assert_eq!(m.eval(same, &env), truth(&g, &env));
+                    // ∃V. f∧g and ∃V. g, by enumerating the quantified bits.
+                    let witness = |pred: &dyn Fn(&[bool]) -> bool| {
+                        (0..32u32).any(|q| {
+                            let mut e = env.clone();
+                            for &v in &vars {
+                                e[v as usize] = q & (1 << v) != 0;
+                            }
+                            pred(&e)
+                        })
+                    };
+                    prop_assert_eq!(
+                        m.eval(fused, &env),
+                        witness(&|e| truth(&f, e) && truth(&g, e))
+                    );
+                    prop_assert_eq!(m.eval(ex, &env), witness(&|e| truth(&g, e)));
+                }
+                // A second release, so round 1 runs on reused indices again.
+                m.release(mark);
+            }
         }
     }
 }

@@ -18,9 +18,10 @@
 //!   per-edge.
 //! * **Interleaved variable order.** Current/next bits of the same state
 //!   bit are adjacent (`cur = 2k`, `next = 2k+1`), the known-good order
-//!   for transition relations; the component with more states gets the
-//!   bits nearer the root. The blocked `[cur | next]` layout is retained
-//!   behind [`SymbolicConfig`] for differential testing.
+//!   for transition relations. Graph bits always come first, nearest the
+//!   root, so nothing built over them depends on the Büchi automaton. A
+//!   per-component blocked layout (`[g | g' | b | b']`) is selectable
+//!   through [`SymbolicConfig`] for differential testing.
 //! * **Early quantification.** Image and pre-image are computed with the
 //!   fused [`bdd::BddManager::and_exists`] relational product, one
 //!   partition conjunct at a time: each variable is quantified out at the
@@ -31,6 +32,12 @@
 //!   inner `E[Z U T]` least fixpoints only expand the newly discovered
 //!   ring each iteration, sound because image/pre-image distribute over
 //!   union.
+//! * **Compiled graph side.** The graph bits, `T_G` and one set of graph
+//!   states per distinct label depend only on the label graph. They are
+//!   built once and kept below a [`bdd::BddManager::mark`]; each check
+//!   adds its Büchi side above the mark and releases it when done. The
+//!   last compiled graph is memoized per thread, so checking a rule book
+//!   against one graph encodes the graph once, not once per rule.
 //!
 //! Both backends decide the same question and the test suite cross-checks
 //! them (see `certkit` for the differential harness). The symbolic
@@ -38,11 +45,16 @@
 //! explicit checker.
 
 use crate::{Buchi, Justice, Ltl};
-use autokit::LabelGraph;
+use autokit::{ActSet, LabelGraph, PropSet};
 use bdd::{BddManager, Ref};
+use std::cell::RefCell;
 use std::collections::HashMap;
 
-/// Variable layout of the current/next state bits.
+#[cfg(test)]
+mod reference;
+
+/// Variable layout of the current/next state bits. Graph bits precede
+/// Büchi bits in both layouts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VarOrder {
     /// Current/next pairs adjacent: bit `k` occupies variables `2k`
@@ -51,8 +63,9 @@ pub enum VarOrder {
     /// number of bits instead of exponential.
     #[default]
     Interleaved,
-    /// Separate blocks: `[0, n)` current, `[n, 2n)` next — the legacy
-    /// layout, kept for differential testing.
+    /// Separate blocks per component: `[g | g' | b | b']` — graph
+    /// current bits, graph next bits, then the same for the Büchi
+    /// automaton. Kept for differential testing.
     Blocked,
 }
 
@@ -80,13 +93,17 @@ impl Default for SymbolicConfig {
 }
 
 /// Statistics from a symbolic check, for benchmarking and diagnostics.
+/// Node counts include the compiled graph side, which the check shares
+/// with every other check against the same graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SymbolicStats {
     /// Binary state variables per block (current/next).
     pub state_bits: u32,
     /// Live BDD nodes when the check finished.
     pub bdd_nodes: usize,
-    /// High-water mark of the BDD node store.
+    /// High-water mark of the BDD node store during the check. Nodes are
+    /// only released once the verdict is known, so this equals
+    /// `bdd_nodes`.
     pub peak_nodes: usize,
     /// Outer Emerson–Lei iterations until fixpoint.
     pub el_iterations: usize,
@@ -94,9 +111,10 @@ pub struct SymbolicStats {
     /// equals the eccentricity of the initial states within the
     /// reachable product.
     pub reach_rings: usize,
-    /// Probes of the BDD manager's hot operation caches.
+    /// Probes of the BDD manager's hot operation caches made by this
+    /// call (compiling the graph side included, when the call did).
     pub cache_lookups: u64,
-    /// Probes that found their result memoized.
+    /// Probes of this call that found their result memoized.
     pub cache_hits: u64,
 }
 
@@ -116,134 +134,320 @@ pub fn check_with_stats(
     check_with_config(graph, phi, justice, SymbolicConfig::default())
 }
 
-/// Bit positions of one product component within the state word.
+/// Variable positions of the graph and Büchi bits. Graph positions do
+/// not depend on `bbits`, which is what lets the graph side be compiled
+/// before any Büchi automaton is known.
 #[derive(Debug, Clone, Copy)]
 struct Layout {
     order: VarOrder,
-    state_bits: u32,
     gbits: u32,
     bbits: u32,
-    /// Graph bits occupy the low (root-near) positions when the graph
-    /// component is the larger one.
-    graph_first: bool,
 }
 
 impl Layout {
-    fn new(order: VarOrder, ng: usize, nb: usize) -> Self {
-        let gbits = bits_for(ng);
-        let bbits = bits_for(nb);
-        Layout {
-            order,
-            state_bits: gbits + bbits,
-            gbits,
-            bbits,
-            graph_first: ng >= nb,
-        }
+    /// Variables used: a current and a next copy of every bit.
+    fn num_vars(&self) -> u32 {
+        2 * (self.gbits + self.bbits)
     }
 
-    /// Current-block variable of global state bit `k`.
-    fn cur_var(&self, k: u32) -> u32 {
+    /// Variable of graph bit `i` in the current or next block.
+    fn graph_var(&self, i: u32, next: bool) -> u32 {
+        let next = u32::from(next);
         match self.order {
-            VarOrder::Interleaved => 2 * k,
-            VarOrder::Blocked => k,
+            VarOrder::Interleaved => 2 * i + next,
+            VarOrder::Blocked => i + next * self.gbits,
         }
     }
 
-    /// Next-block variable of global state bit `k`.
-    fn next_var(&self, k: u32) -> u32 {
-        match self.order {
-            VarOrder::Interleaved => 2 * k + 1,
-            VarOrder::Blocked => k + self.state_bits,
-        }
+    /// Variable of Büchi bit `i` in the current or next block.
+    fn buchi_var(&self, i: u32, next: bool) -> u32 {
+        let next = u32::from(next);
+        2 * self.gbits
+            + match self.order {
+                VarOrder::Interleaved => 2 * i + next,
+                VarOrder::Blocked => i + next * self.bbits,
+            }
     }
 
-    /// `rename_shift` offset taking a current-block function to the next
-    /// block.
-    fn shift(&self) -> i64 {
-        match self.order {
-            VarOrder::Interleaved => 1,
-            VarOrder::Blocked => i64::from(self.state_bits),
-        }
-    }
-
-    /// Global state-bit position of graph bit `i`.
-    fn graph_bit(&self, i: u32) -> u32 {
-        if self.graph_first {
-            i
-        } else {
-            self.bbits + i
-        }
-    }
-
-    /// Global state-bit position of Büchi bit `i`.
-    fn buchi_bit(&self, i: u32) -> u32 {
-        if self.graph_first {
-            self.gbits + i
-        } else {
-            i
-        }
-    }
-
-    /// Literals (sorted by variable) encoding `value` over the graph
-    /// bits of the chosen block.
+    /// Literals encoding graph state `value` (sorted by variable: bit
+    /// positions increase with the bit index in both orders).
     fn graph_lits(&self, value: u32, next: bool) -> Vec<(u32, bool)> {
-        self.lits(value, self.gbits, next, |s, i| s.graph_bit(i))
+        (0..self.gbits)
+            .map(|i| (self.graph_var(i, next), value & (1 << i) != 0))
+            .collect()
     }
 
-    /// Literals (sorted by variable) encoding `value` over the Büchi
-    /// bits of the chosen block.
+    /// Literals encoding Büchi state `value`, sorted by variable.
     fn buchi_lits(&self, value: u32, next: bool) -> Vec<(u32, bool)> {
-        self.lits(value, self.bbits, next, |s, i| s.buchi_bit(i))
+        (0..self.bbits)
+            .map(|i| (self.buchi_var(i, next), value & (1 << i) != 0))
+            .collect()
     }
 
-    fn lits(
-        &self,
-        value: u32,
-        bits: u32,
-        next: bool,
-        pos: impl Fn(&Self, u32) -> u32,
-    ) -> Vec<(u32, bool)> {
-        let mut lits: Vec<(u32, bool)> = (0..bits)
-            .map(|i| {
-                let k = pos(self, i);
-                let v = if next {
-                    self.next_var(k)
-                } else {
-                    self.cur_var(k)
-                };
-                (v, value & (1 << i) != 0)
+    fn graph_vars(&self, next: bool) -> Vec<u32> {
+        (0..self.gbits).map(|i| self.graph_var(i, next)).collect()
+    }
+
+    fn buchi_vars(&self, next: bool) -> Vec<u32> {
+        (0..self.bbits).map(|i| self.buchi_var(i, next)).collect()
+    }
+
+    /// The renaming map taking the `from` block to the other one: every
+    /// bit's `from`-block variable maps to its counterpart, every other
+    /// variable to itself.
+    fn block_map(&self, from_next: bool) -> Vec<u32> {
+        let mut map: Vec<u32> = (0..self.num_vars()).collect();
+        let pairs = (0..self.gbits)
+            .map(|i| (self.graph_var(i, from_next), self.graph_var(i, !from_next)))
+            .chain(
+                (0..self.bbits)
+                    .map(|i| (self.buchi_var(i, from_next), self.buchi_var(i, !from_next))),
+            );
+        for (from, to) in pairs {
+            map[from as usize] = to;
+        }
+        map
+    }
+}
+
+/// The graph side of the encoding, built once per label graph and kept
+/// below `mark` in its own manager.
+struct CompiledGraph {
+    /// The graph this was compiled from — the memo key, compared in full.
+    graph: LabelGraph,
+    order: VarOrder,
+    m: BddManager,
+    gbits: u32,
+    t_graph: Ref,
+    /// Each distinct label (first-seen order) with the disjunction of
+    /// the cubes of the graph states carrying it.
+    labels: Vec<((PropSet, ActSet), Ref)>,
+    /// Watermark above the graph side: each check releases back to it.
+    mark: bdd::Mark,
+}
+
+thread_local! {
+    /// The last graph compiled on this thread.
+    static COMPILED: RefCell<Option<CompiledGraph>> = const { RefCell::new(None) };
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Graph-side compilations on this thread, so tests can tell a memo
+    /// hit from a recompile.
+    static COMPILES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+impl CompiledGraph {
+    fn new(graph: &LabelGraph, order: VarOrder) -> Self {
+        #[cfg(test)]
+        COMPILES.with(|c| c.set(c.get() + 1));
+        let layout = Layout {
+            order,
+            gbits: bits_for(graph.num_nodes()),
+            bbits: 0,
+        };
+        let mut m = BddManager::new(layout.num_vars());
+
+        let mut labels: Vec<((PropSet, ActSet), Vec<Ref>)> = Vec::new();
+        let mut label_index: HashMap<(PropSet, ActSet), usize> = HashMap::new();
+        for (g, &label) in graph.labels.iter().enumerate() {
+            let cube = m.cube(&layout.graph_lits(g as u32, false));
+            let i = *label_index.entry(label).or_insert_with(|| {
+                labels.push((label, Vec::new()));
+                labels.len() - 1
+            });
+            labels[i].1.push(cube);
+        }
+        let labels = labels
+            .into_iter()
+            .map(|(label, cubes)| (label, m.or_all(cubes)))
+            .collect();
+
+        let groups = group_by_succs(graph.num_nodes(), |g| {
+            graph.succs[g].iter().map(|&s| s as u32)
+        });
+        let t_graph = build_component(&mut m, &groups, |m, g, next| {
+            m.cube(&layout.graph_lits(g, next))
+        });
+        let mark = m.mark();
+        CompiledGraph {
+            graph: graph.clone(),
+            order,
+            m,
+            gbits: layout.gbits,
+            t_graph,
+            labels,
+            mark,
+        }
+    }
+
+    /// Decides `buchi`'s emptiness against the compiled graph under
+    /// `justice`, then releases everything the check built. The cache
+    /// statistics are left for the caller, which knows where the call
+    /// started.
+    fn check(
+        &mut self,
+        buchi: &Buchi,
+        justice: &[Justice],
+        partitioned: bool,
+    ) -> (bool, SymbolicStats) {
+        let layout = Layout {
+            order: self.order,
+            gbits: self.gbits,
+            bbits: bits_for(buchi.num_states()),
+        };
+        let m = &mut self.m;
+        m.raise_num_vars(layout.num_vars());
+        let buchi_cube = |m: &mut BddManager, b: usize| m.cube(&layout.buchi_lits(b as u32, false));
+
+        // ---- Valid state space -------------------------------------------
+        // A product state (g, b) is valid iff b's literal constraints match
+        // g's label: per distinct label, its graph states ∧ the Büchi
+        // states matching it.
+        let mut valid_parts = Vec::with_capacity(self.labels.len());
+        for &((props, acts), gs) in &self.labels {
+            let matching: Vec<Ref> = buchi
+                .states()
+                .iter()
+                .enumerate()
+                .filter(|(_, st)| st.matches(props, acts))
+                .map(|(b, _)| buchi_cube(m, b))
+                .collect();
+            let bs = m.or_all(matching);
+            valid_parts.push(m.and(gs, bs));
+        }
+        let valid = m.or_all(valid_parts);
+
+        let t_buchi = {
+            let groups = group_by_succs(buchi.num_states(), |b| {
+                buchi.states()[b].succs.iter().map(|&s| s as u32)
+            });
+            build_component(m, &groups, |m, b, next| m.cube(&layout.buchi_lits(b, next)))
+        };
+
+        let relation = {
+            let g_cur = layout.graph_vars(false);
+            let g_next = layout.graph_vars(true);
+            let b_cur = layout.buchi_vars(false);
+            let b_next = layout.buchi_vars(true);
+            let all_cur: Vec<u32> = g_cur.iter().chain(&b_cur).copied().collect();
+            let all_next: Vec<u32> = g_next.iter().chain(&b_next).copied().collect();
+            let to_next = layout.block_map(false);
+            let mono = if partitioned {
+                None
+            } else {
+                let valid_next = m.rename(valid, &to_next);
+                let gb = m.and(self.t_graph, t_buchi);
+                let gbv = m.and(gb, valid_next);
+                Some(m.and(gbv, valid))
+            };
+            Relation {
+                mono,
+                t_graph: self.t_graph,
+                t_buchi,
+                valid,
+                g_cur,
+                g_next,
+                b_cur,
+                b_next,
+                all_cur,
+                all_next,
+                to_next,
+                to_cur: layout.block_map(true),
+            }
+        };
+
+        // ---- Initial states ----------------------------------------------
+        // Graph bits precede Büchi bits, so the concatenated literals are
+        // sorted.
+        let graph = &self.graph;
+        let init_parts: Vec<Ref> = graph
+            .initial
+            .iter()
+            .flat_map(|&g| buchi.initial().iter().map(move |&b| (g, b)))
+            .filter(|&(g, b)| {
+                let (props, acts) = graph.labels[g];
+                buchi.states()[b].matches(props, acts)
+            })
+            .map(|(g, b)| {
+                let mut lits = layout.graph_lits(g as u32, false);
+                lits.extend(layout.buchi_lits(b as u32, false));
+                m.cube(&lits)
             })
             .collect();
-        lits.sort_unstable_by_key(|&(v, _)| v);
-        lits
-    }
+        let init = m.or_all(init_parts);
 
-    /// The chosen block's variables for the graph bits.
-    fn graph_vars(&self, next: bool) -> Vec<u32> {
-        (0..self.gbits)
-            .map(|i| {
-                let k = self.graph_bit(i);
-                if next {
-                    self.next_var(k)
-                } else {
-                    self.cur_var(k)
-                }
-            })
-            .collect()
-    }
+        // ---- Forward reachability (onion rings) --------------------------
+        let fals = m.constant(false);
+        let mut reach = init;
+        let mut frontier = init;
+        let mut reach_rings = 0;
+        while frontier != fals {
+            reach_rings += 1;
+            let img = relation.image(m, frontier);
+            let nr = m.not(reach);
+            frontier = m.and(img, nr);
+            reach = m.or(reach, frontier);
+        }
 
-    /// The chosen block's variables for the Büchi bits.
-    fn buchi_vars(&self, next: bool) -> Vec<u32> {
-        (0..self.bbits)
-            .map(|i| {
-                let k = self.buchi_bit(i);
-                if next {
-                    self.next_var(k)
-                } else {
-                    self.cur_var(k)
-                }
-            })
-            .collect()
+        // ---- Acceptance families -----------------------------------------
+        // Büchi acceptance plus one family per justice condition (the
+        // union of the label sets it holds on), all over the current block.
+        let mut families: Vec<Ref> = Vec::with_capacity(1 + justice.len());
+        let acc: Vec<Ref> = buchi
+            .states()
+            .iter()
+            .enumerate()
+            .filter(|(_, st)| st.accepting)
+            .map(|(b, _)| buchi_cube(m, b))
+            .collect();
+        families.push(m.or_all(acc));
+        for j in justice {
+            let sat: Vec<Ref> = self
+                .labels
+                .iter()
+                .filter(|&&((props, acts), _)| j.holds(props, acts))
+                .map(|&(_, gs)| gs)
+                .collect();
+            families.push(m.or_all(sat));
+        }
+
+        // ---- Emerson–Lei fair-cycle fixpoint -----------------------------
+        //   Z = ⋀_i EX E[Z U (Z ∧ F_i)]
+        // seeded with the reachable set instead of all valid states: reach
+        // is forward-closed, so every fair cycle reachable from an initial
+        // state lies entirely within it — the gfp restricted to reach finds
+        // exactly the reachable fair-cycle states.
+        let mut z = reach;
+        let mut el_iterations = 0;
+        loop {
+            el_iterations += 1;
+            let mut znew = z;
+            for &f in &families {
+                let zf = m.and(znew, f);
+                let reach_f = relation.eu(m, znew, zf);
+                let pre = relation.pre(m, reach_f);
+                znew = m.and(znew, pre);
+            }
+            if znew == z {
+                break;
+            }
+            z = znew;
+        }
+
+        // A fair cycle is reachable iff Z (⊆ reach) is non-empty.
+        let holds = !m.satisfiable(z);
+        let stats = SymbolicStats {
+            state_bits: layout.gbits + layout.bbits,
+            bdd_nodes: m.num_nodes(),
+            peak_nodes: m.num_nodes(),
+            el_iterations,
+            reach_rings,
+            ..SymbolicStats::default()
+        };
+        m.release(self.mark);
+        (holds, stats)
     }
 }
 
@@ -261,7 +465,9 @@ struct Relation {
     b_next: Vec<u32>,
     all_cur: Vec<u32>,
     all_next: Vec<u32>,
-    shift: i64,
+    /// Renaming maps current block → next block and back.
+    to_next: Vec<u32>,
+    to_cur: Vec<u32>,
 }
 
 impl Relation {
@@ -272,18 +478,18 @@ impl Relation {
     fn image(&self, m: &mut BddManager, s: Ref) -> Ref {
         if let Some(trans) = self.mono {
             let step = m.and_exists(s, trans, &self.all_cur);
-            m.rename_shift(step, -self.shift)
+            m.rename(step, &self.to_cur)
         } else {
             let a = m.and_exists(s, self.t_graph, &self.g_cur);
             let b = m.and_exists(a, self.t_buchi, &self.b_cur);
-            let img = m.rename_shift(b, -self.shift);
+            let img = m.rename(b, &self.to_cur);
             m.and(img, self.valid)
         }
     }
 
     /// Predecessors of `s` (pre-image / EX), for `s ⊆ valid`.
     fn pre(&self, m: &mut BddManager, s: Ref) -> Ref {
-        let s_next = m.rename_shift(s, self.shift);
+        let s_next = m.rename(s, &self.to_next);
         if let Some(trans) = self.mono {
             m.and_exists(trans, s_next, &self.all_next)
         } else {
@@ -315,6 +521,12 @@ impl Relation {
 /// [`check_graph_fair_symbolic`] with statistics, under an explicit
 /// [`SymbolicConfig`]. Every configuration decides the same property;
 /// the proptests below pin the equivalences.
+///
+/// The graph side of the encoding is memoized per thread: a call whose
+/// graph equals the previous call's (full [`LabelGraph`] equality) under
+/// the same variable order reuses it, so only the Büchi side is built.
+/// Otherwise the old compiled graph is dropped before the new one is
+/// built, so at most one is alive per thread.
 pub fn check_with_config(
     graph: &LabelGraph,
     phi: &Ltl,
@@ -323,210 +535,23 @@ pub fn check_with_config(
 ) -> (bool, SymbolicStats) {
     let neg = Ltl::not(phi.clone());
     let buchi = Buchi::from_ltl(&neg);
-    let ng = graph.num_nodes();
-    let nb = buchi.num_states();
-    if ng == 0 || nb == 0 || graph.initial.is_empty() {
+    if graph.num_nodes() == 0 || buchi.num_states() == 0 || graph.initial.is_empty() {
         return (true, SymbolicStats::default());
     }
 
-    let layout = Layout::new(config.order, ng, nb);
-    let mut m = BddManager::new(2 * layout.state_bits);
-
-    // ---- Valid state space -------------------------------------------
-    // A product state (g, b) is valid iff b's literal constraints match
-    // g's label. Graph nodes are grouped by label so each distinct
-    // label's matching-Büchi disjunction is built once; groups use
-    // first-seen order so the construction is deterministic.
-    let mut label_order: Vec<(autokit::PropSet, autokit::ActSet)> = Vec::new();
-    let mut label_groups: HashMap<(autokit::PropSet, autokit::ActSet), Vec<u32>> = HashMap::new();
-    for (g, &label) in graph.labels.iter().enumerate() {
-        label_groups
-            .entry(label)
-            .or_insert_with(|| {
-                label_order.push(label);
-                Vec::new()
-            })
-            .push(g as u32);
-    }
-    let mut valid_parts = Vec::with_capacity(label_order.len());
-    for label in &label_order {
-        let members = &label_groups[label];
-        let matching: Vec<Ref> = buchi
-            .states()
-            .iter()
-            .enumerate()
-            .filter(|(_, st)| st.matches(label.0, label.1))
-            .map(|(b, _)| {
-                let lits = layout.buchi_lits(b as u32, false);
-                m.cube(&lits)
-            })
-            .collect();
-        let bs = m.or_all(matching);
-        let gs: Vec<Ref> = members
-            .iter()
-            .map(|&g| {
-                let lits = layout.graph_lits(g, false);
-                m.cube(&lits)
-            })
-            .collect();
-        let gs = m.or_all(gs);
-        valid_parts.push(m.and(gs, bs));
-    }
-    let valid = m.or_all(valid_parts);
-
-    // ---- Component transition relations ------------------------------
-    // Built per successor set, not per edge: sources sharing a successor
-    // set contribute one (⋁ sources) ∧ (⋁ targets') conjunct.
-    let t_graph = {
-        let groups = group_by_succs(ng, |g| graph.succs[g].iter().map(|&s| s as u32));
-        build_component(
-            &mut m,
-            &groups,
-            |layout, v, next| layout.graph_lits(v, next),
-            &layout,
-        )
-    };
-    let t_buchi = {
-        let groups = group_by_succs(nb, |b| buchi.states()[b].succs.iter().map(|&s| s as u32));
-        build_component(
-            &mut m,
-            &groups,
-            |layout, v, next| layout.buchi_lits(v, next),
-            &layout,
-        )
-    };
-
-    let relation = {
-        let g_cur = layout.graph_vars(false);
-        let g_next = layout.graph_vars(true);
-        let b_cur = layout.buchi_vars(false);
-        let b_next = layout.buchi_vars(true);
-        let all_cur: Vec<u32> = g_cur.iter().chain(&b_cur).copied().collect();
-        let all_next: Vec<u32> = g_next.iter().chain(&b_next).copied().collect();
-        let mono = if config.partitioned {
-            None
-        } else {
-            let valid_next = m.rename_shift(valid, layout.shift());
-            let gb = m.and(t_graph, t_buchi);
-            let gbv = m.and(gb, valid_next);
-            Some(m.and(gbv, valid))
-        };
-        Relation {
-            mono,
-            t_graph,
-            t_buchi,
-            valid,
-            g_cur,
-            g_next,
-            b_cur,
-            b_next,
-            all_cur,
-            all_next,
-            shift: layout.shift(),
-        }
-    };
-
-    // ---- Initial states ----------------------------------------------
-    let init_parts: Vec<Ref> = graph
-        .initial
-        .iter()
-        .flat_map(|&g| buchi.initial().iter().map(move |&b| (g, b)))
-        .filter(|&(g, b)| {
-            let (props, acts) = graph.labels[g];
-            buchi.states()[b].matches(props, acts)
-        })
-        .collect::<Vec<_>>()
-        .into_iter()
-        .map(|(g, b)| {
-            let mut lits = layout.graph_lits(g as u32, false);
-            lits.extend(layout.buchi_lits(b as u32, false));
-            lits.sort_unstable_by_key(|&(v, _)| v);
-            m.cube(&lits)
-        })
-        .collect();
-    let init = m.or_all(init_parts);
-
-    // ---- Forward reachability (onion rings) --------------------------
-    let fals = m.constant(false);
-    let mut reach = init;
-    let mut frontier = init;
-    let mut reach_rings = 0;
-    while frontier != fals {
-        reach_rings += 1;
-        let img = relation.image(&mut m, frontier);
-        let nr = m.not(reach);
-        frontier = m.and(img, nr);
-        reach = m.or(reach, frontier);
-    }
-
-    // ---- Acceptance families -----------------------------------------
-    // Büchi acceptance plus one family per justice condition, all over
-    // the current block.
-    let mut families: Vec<Ref> = Vec::new();
-    {
-        let acc: Vec<Ref> = buchi
-            .states()
-            .iter()
-            .enumerate()
-            .filter(|(_, st)| st.accepting)
-            .map(|(b, _)| {
-                let lits = layout.buchi_lits(b as u32, false);
-                m.cube(&lits)
-            })
-            .collect();
-        let acc = m.or_all(acc);
-        families.push(acc);
-    }
-    for j in justice {
-        let sat: Vec<Ref> = label_order
-            .iter()
-            .filter(|&&(props, acts)| j.holds(props, acts))
-            .flat_map(|label| label_groups[label].iter().copied())
-            .collect::<Vec<u32>>()
-            .into_iter()
-            .map(|g| {
-                let lits = layout.graph_lits(g, false);
-                m.cube(&lits)
-            })
-            .collect();
-        let sat = m.or_all(sat);
-        families.push(sat);
-    }
-
-    // ---- Emerson–Lei fair-cycle fixpoint -----------------------------
-    //   Z = ⋀_i EX E[Z U (Z ∧ F_i)]
-    // seeded with the reachable set instead of all valid states: reach
-    // is forward-closed, so every fair cycle reachable from an initial
-    // state lies entirely within it — the gfp restricted to reach finds
-    // exactly the reachable fair-cycle states.
-    let mut z = reach;
-    let mut el_iterations = 0;
-    loop {
-        el_iterations += 1;
-        let mut znew = z;
-        for &f in &families {
-            let zf = m.and(znew, f);
-            let reach_f = relation.eu(&mut m, znew, zf);
-            let pre = relation.pre(&mut m, reach_f);
-            znew = m.and(znew, pre);
-        }
-        if znew == z {
-            break;
-        }
-        z = znew;
-    }
-
-    // A fair cycle is reachable iff Z (⊆ reach) is non-empty.
-    let holds = !m.satisfiable(z);
-    let stats = SymbolicStats {
-        state_bits: layout.state_bits,
-        bdd_nodes: m.num_nodes(),
-        peak_nodes: m.peak_nodes(),
-        el_iterations,
-        reach_rings,
-        cache_lookups: m.cache_lookups(),
-        cache_hits: m.cache_hits(),
-    };
+    // Taken out of the slot for the duration of the check, so a panic
+    // mid-check drops the half-used manager instead of leaving it behind.
+    let cached = COMPILED
+        .with(|slot| slot.borrow_mut().take())
+        .filter(|c| c.order == config.order && c.graph == *graph);
+    let (lookups, hits) = cached
+        .as_ref()
+        .map_or((0, 0), |c| (c.m.cache_lookups(), c.m.cache_hits()));
+    let mut compiled = cached.unwrap_or_else(|| CompiledGraph::new(graph, config.order));
+    let (holds, mut stats) = compiled.check(&buchi, justice, config.partitioned);
+    stats.cache_lookups = compiled.m.cache_lookups() - lookups;
+    stats.cache_hits = compiled.m.cache_hits() - hits;
+    COMPILED.with(|slot| *slot.borrow_mut() = Some(compiled));
     count_symbolic_check(&stats);
     (holds, stats)
 }
@@ -568,30 +593,18 @@ fn group_by_succs<I: Iterator<Item = u32>>(
 
 /// Builds one component's transition relation from its successor-set
 /// groups: `⋁_groups (⋁ sources) ∧ (⋁ targets')`, combined balanced.
+/// `cube(m, state, next)` encodes one state in the current or next block.
 fn build_component(
     m: &mut BddManager,
     groups: &[(Vec<u32>, Vec<u32>)],
-    lits: impl Fn(&Layout, u32, bool) -> Vec<(u32, bool)>,
-    layout: &Layout,
+    cube: impl Fn(&mut BddManager, u32, bool) -> Ref,
 ) -> Ref {
     let parts: Vec<Ref> = groups
         .iter()
         .map(|(targets, sources)| {
-            let tgt: Vec<Ref> = targets
-                .iter()
-                .map(|&t| {
-                    let l = lits(layout, t, true);
-                    m.cube(&l)
-                })
-                .collect();
+            let tgt: Vec<Ref> = targets.iter().map(|&t| cube(m, t, true)).collect();
             let tgt = m.or_all(tgt);
-            let src: Vec<Ref> = sources
-                .iter()
-                .map(|&s| {
-                    let l = lits(layout, s, false);
-                    m.cube(&l)
-                })
-                .collect();
+            let src: Vec<Ref> = sources.iter().map(|&s| cube(m, s, false)).collect();
             let src = m.or_all(src);
             m.and(src, tgt)
         })
@@ -610,6 +623,7 @@ fn bits_for(n: usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testgen::{arb_justice, arb_label_graph};
     use crate::{check_graph_fair, parse, Verdict};
     use autokit::{ActSet, ProductState, PropSet, Vocab};
     use proptest::prelude::*;
@@ -756,6 +770,74 @@ mod tests {
         }
     }
 
+    fn compiles() -> u64 {
+        COMPILES.with(std::cell::Cell::get)
+    }
+
+    /// Same graph, different formulas and justice: one compilation, and
+    /// the same statistics as a check on a freshly compiled graph.
+    #[test]
+    fn memo_is_reused_for_the_same_graph() {
+        let v = vocab();
+        let a = v.prop("a").unwrap();
+        let la = (PropSet::singleton(a), ActSet::empty());
+        let l0 = (PropSet::empty(), ActSet::empty());
+        let graph = LabelGraph {
+            labels: vec![la, l0, l0],
+            origin: vec![ProductState { model: 0, ctrl: 0 }; 3],
+            succs: vec![vec![1, 2], vec![0, 1], vec![2, 0]],
+            initial: vec![0],
+        };
+        let justice = [Justice::new("a io", parse("a", &v).unwrap()).unwrap()];
+        let (phi, psi) = (parse("G F a", &v).unwrap(), parse("F G !a", &v).unwrap());
+        COMPILED.with(|slot| *slot.borrow_mut() = None);
+        let before = compiles();
+        let fresh = check_with_stats(&graph, &phi, &justice);
+        assert_eq!(compiles(), before + 1);
+        let before = compiles();
+        let _ = check_with_stats(&graph, &psi, &[]);
+        let again = check_with_stats(&graph, &phi, &justice);
+        let _ = check_with_stats(&graph.clone(), &phi, &[]);
+        assert_eq!(compiles(), before, "an equal graph must reuse the memo");
+        assert_eq!(fresh.0, again.0);
+        assert_eq!(fresh.1.bdd_nodes, again.1.bdd_nodes);
+        assert_eq!(fresh.1.el_iterations, again.1.el_iterations);
+        assert_eq!(fresh.1.reach_rings, again.1.reach_rings);
+
+        // The graph side depends on the variable order: switching it
+        // recompiles.
+        let blocked = SymbolicConfig {
+            order: VarOrder::Blocked,
+            partitioned: true,
+        };
+        let _ = check_with_config(&graph, &phi, &justice, blocked);
+        assert_eq!(compiles(), before + 1);
+    }
+
+    /// Regression: a graph mutated in place between two calls (same
+    /// allocation, same node count) is a different graph; the second call
+    /// must recompile, not reuse the memo.
+    #[test]
+    fn memo_is_not_reused_after_in_place_mutation() {
+        let v = vocab();
+        let a = v.prop("a").unwrap();
+        let la = (PropSet::singleton(a), ActSet::empty());
+        let l0 = (PropSet::empty(), ActSet::empty());
+        let mut graph = LabelGraph {
+            labels: vec![la, l0],
+            origin: vec![ProductState { model: 0, ctrl: 0 }; 2],
+            succs: vec![vec![0], vec![1]],
+            initial: vec![0],
+        };
+        let phi = parse("G a", &v).unwrap();
+        assert!(check_graph_fair_symbolic(&graph, &phi, &[]));
+        let before = compiles();
+        graph.succs[0][0] = 1;
+        assert!(!check_graph_fair(&graph, &phi, &[]).holds());
+        assert!(!check_graph_fair_symbolic(&graph, &phi, &[]));
+        assert_eq!(compiles(), before + 1);
+    }
+
     fn arb_ltl() -> impl Strategy<Value = Ltl> {
         let v = vocab();
         let a = v.prop("a").unwrap();
@@ -869,6 +951,31 @@ mod tests {
                 SymbolicConfig { order: VarOrder::Blocked, partitioned: true },
             ).0;
             prop_assert_eq!(inter, blocked, "{:?}", phi);
+        }
+
+        /// A random sequence of calls — repeated, alternating and
+        /// same-graph/different-justice steps, under every configuration —
+        /// through the memoized checker: each verdict equals the explicit
+        /// checker's and the fresh-manager reference checker's.
+        #[test]
+        fn memoized_sequences_match_explicit_and_reference(
+            pool in proptest::collection::vec(arb_label_graph(), 1..4),
+            steps in proptest::collection::vec(
+                (0usize..4, arb_ltl(), arb_justice(), 0usize..4, any::<bool>()),
+                1..10,
+            ),
+        ) {
+            for (i, (g, phi, justice, config, twice)) in steps.iter().enumerate() {
+                let graph = &pool[g % pool.len()];
+                let config = all_configs()[*config];
+                let explicit = check_graph_fair(graph, phi, justice).holds();
+                let reference = reference::check_with_config(graph, phi, justice, config).0;
+                prop_assert_eq!(explicit, reference, "step {}: {:?}", i, phi);
+                for _ in 0..=usize::from(*twice) {
+                    let got = check_with_config(graph, phi, justice, config).0;
+                    prop_assert_eq!(got, explicit, "step {} under {:?}: {:?}", i, config, phi);
+                }
+            }
         }
     }
 }
