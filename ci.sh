@@ -1,29 +1,33 @@
 #!/usr/bin/env bash
-# CI gate: formatting, lints, docs, tests, the speclint static-analysis
-# pass over the shipped rule books, controllers and step lists, the
-# specsem semantic analysis of the rule books under their world models,
-# the unsafe-code audit, the conckit concurrency model-checking gate
-# (exhaustive interleaving exploration of the parkit pool/deque and the
-# sharded verdict cache, plus a miri pass when the interpreter is
-# installed), the certkit certification + explicit-vs-symbolic
-# differential suite (including the scaled drivesim/warehouse models
-# under a time budget), the symbolic backend gate (a fast
-# backend_compare --sweep whose symbolic.* counters are validated by
-# metrics_check and diffed exactly against the committed
-# results/BENCH_backend.json baseline), an instrumented bench smoke
-# run (allocation
-# tracking on) validated against the obskit.bench.v2 report schema
-# (metrics_check), byte-equality gates proving the performance and
-# gating knobs (--threads, DPO ref cache, verdict-cache capacity,
-# semantic pre-flight, allocation tracking, pooled backward) never
-# change artifacts, the kernel gate (fast-math tolerance envelope and
-# pooled-backward bit-equality over real sequence graphs), and
-# a noise-aware perf-regression gate (bench_diff) that diffs a fresh
-# fast headline run against the committed baseline under
-# results/PERF_BUDGETS.json — including a seeded-regression self-test
-# proving the gate really fails when one span slows down.
+# CI gate, in order:
+# - formatting, clippy, rustdoc and the workspace tests;
+# - the model-feature tests (parkit under conckit's exploring scheduler)
+#   and a miri pass over parkit/conckit when the interpreter is installed;
+# - speclint over the shipped rule books, controllers and step lists,
+#   plus the specsem semantic analysis of the books under their worlds;
+# - the unsafe-code audit (every unsafe site carries a SAFETY comment);
+# - the conckit exploration gate (model-checked pool/deque/cache
+#   interleavings);
+# - the certkit certification + explicit-vs-symbolic differential suite,
+#   scaled drivesim/warehouse models included;
+# - the symbolic backend gate: a fast backend_compare --sweep whose
+#   symbolic.* counters are validated by metrics_check and diffed exactly
+#   against the committed results/BENCH_backend.json baseline;
+# - an instrumented 2-thread headline smoke run (allocation tracking on)
+#   validated against the obskit.bench.v2 report schema;
+# - the parallel determinism gate: headline artifacts at --threads 1
+#   (recorder off) and --threads 2 (recorder and allocation tracking on)
+#   must be byte-identical;
+# - the perf budget gate (bench_diff of a fresh fast headline run against
+#   results/BENCH_headline_fast.json under results/PERF_BUDGETS.json) and
+#   its seeded-regression self-test.
 set -euo pipefail
 cd "$(dirname "$0")"
+
+# Every temp file the gates create lives in one directory, removed by
+# the one EXIT trap.
+tmp_dir="$(mktemp -d -t ci.XXXXXX)"
+trap 'rm -rf "$tmp_dir"' EXIT
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -59,8 +63,7 @@ echo "==> unsafe-code audit (every unsafe site carries a SAFETY comment)"
 cargo run -q --release -p bench --bin unsafe_audit -- --no-obs
 
 echo "==> conckit exploration gate (model-checked pool/deque/cache interleavings)"
-conc_report="$(mktemp -t BENCH_conc.XXXXXX.json)"
-trap 'rm -f "$conc_report"' EXIT
+conc_report="$tmp_dir/BENCH_conc.json"
 cargo run -q --release -p bench --features model --bin conc_check -- \
     --metrics-out "$conc_report"
 cargo run -q --release -p bench --bin metrics_check -- "$conc_report" \
@@ -70,8 +73,7 @@ echo "==> certkit gate (certification + differential suite, incl. scaled models)
 cargo run -q -p certkit --release
 
 echo "==> symbolic backend gate (fast sweep, symbolic.* metrics, counter diff vs baseline)"
-sweep_report="$(mktemp -t BENCH_backend.XXXXXX.json)"
-trap 'rm -f "$conc_report" "$sweep_report"' EXIT
+sweep_report="$tmp_dir/BENCH_backend.json"
 cargo run -q --release -p bench --bin backend_compare -- \
     --sweep --fast --quiet --metrics-out "$sweep_report" > /dev/null
 cargo run -q --release -p bench --bin metrics_check -- "$sweep_report" \
@@ -81,11 +83,9 @@ cargo run -q --release -p bench --bin bench_diff -- \
     --budgets results/PERF_BUDGETS.json
 
 echo "==> obskit smoke gate (instrumented 2-thread bench run, alloc tracking on)"
-smoke_report="$(mktemp -t BENCH_smoke.XXXXXX.json)"
-smoke_art1="$(mktemp -t headline_t1.XXXXXX.json)"
-smoke_art2="$(mktemp -t headline_t2.XXXXXX.json)"
-smoke_art3="$(mktemp -t headline_norefcache.XXXXXX.json)"
-trap 'rm -f "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_art3" "$conc_report" "$sweep_report"' EXIT
+smoke_report="$tmp_dir/BENCH_smoke.json"
+smoke_art1="$tmp_dir/headline_t1.json"
+smoke_art2="$tmp_dir/headline_t2.json"
 cargo run -q --release -p bench --bin headline -- \
     --fast --quiet --threads 2 --alloc --metrics-out "$smoke_report" \
     --artifacts-out "$smoke_art2" > /dev/null
@@ -101,33 +101,8 @@ cargo run -q --release -p bench --bin headline -- \
     --fast --quiet --no-obs --threads 1 --artifacts-out "$smoke_art1" > /dev/null
 cmp "$smoke_art1" "$smoke_art2"
 
-echo "==> ref-cache exactness gate (headline artifacts, cache on vs off)"
-cargo run -q --release -p bench --bin headline -- \
-    --fast --quiet --no-obs --threads 1 --no-ref-cache \
-    --artifacts-out "$smoke_art3" > /dev/null
-cmp "$smoke_art1" "$smoke_art3"
-
-echo "==> semantic pre-flight purity gate (gate on vs off, identical artifacts)"
-smoke_art4="$(mktemp -t headline_nosem.XXXXXX.json)"
-cargo run -q --release -p bench --bin headline -- \
-    --fast --quiet --no-obs --threads 1 --no-semantic-preflight \
-    --artifacts-out "$smoke_art4" > /dev/null
-cmp "$smoke_art1" "$smoke_art4"
-
-echo "==> pooled-backward determinism gate (headline artifacts, serial vs pooled backward)"
-smoke_art5="$(mktemp -t headline_poolbw.XXXXXX.json)"
-trap 'rm -f "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_art3" "$smoke_art4" "$smoke_art5" "$conc_report" "$sweep_report"' EXIT
-cargo run -q --release -p bench --bin headline -- \
-    --fast --quiet --no-obs --threads 2 --pool-backward \
-    --artifacts-out "$smoke_art5" > /dev/null
-cmp "$smoke_art1" "$smoke_art5"
-
-echo "==> kernel gate (fast-math tolerance + pooled backward bit-equality, DESIGN.md §13)"
-cargo run -q --release -p bench --bin kernel_gate -- --no-obs
-
 echo "==> perf budget gate (bench_diff vs committed fast-headline baseline)"
-perf_report="$(mktemp -t BENCH_perf.XXXXXX.json)"
-trap 'rm -f "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_art3" "$smoke_art4" "$smoke_art5" "$conc_report" "$sweep_report" "$perf_report"' EXIT
+perf_report="$tmp_dir/BENCH_perf.json"
 cargo run -q --release -p bench --bin headline -- \
     --fast --quiet --threads 1 --alloc --metrics-out "$perf_report" > /dev/null
 cargo run -q --release -p bench --bin bench_diff -- \
@@ -141,8 +116,7 @@ cargo run -q --release -p bench --bin bench_diff -- \
 # (The seed moved off dpo.backward when the §13 kernels shrank that
 # span below the gate's min-share floor in the fast baseline.)
 echo "==> perf gate self-test (identical reports pass, seeded +25% regression fails)"
-seeded_out="$(mktemp -t bench_diff_seeded.XXXXXX.txt)"
-trap 'rm -f "$smoke_report" "$smoke_art1" "$smoke_art2" "$smoke_art3" "$smoke_art4" "$smoke_art5" "$conc_report" "$sweep_report" "$perf_report" "$seeded_out"' EXIT
+seeded_out="$tmp_dir/bench_diff_seeded.txt"
 cargo run -q --release -p bench --bin bench_diff -- \
     results/BENCH_headline_fast.json results/BENCH_headline_fast.json \
     --budgets results/PERF_BUDGETS.json > /dev/null

@@ -57,17 +57,9 @@ static ALLOC: obskit::alloc::TrackingAlloc = obskit::alloc::TrackingAlloc::new()
 /// | `--quiet`            | drop the stderr progress sink, keep recording |
 /// | `--threads <n>`      | scoring fan-out width (0/omitted = `PARKIT_THREADS` or the machine) |
 /// | `--no-cache`         | disable the verification memo-cache |
-/// | `--no-ref-cache`     | disable the DPO reference-logprob cache |
-/// | `--no-semantic-preflight` | skip the semantic rule-book gate |
-/// | `--kernel-mode <m>`  | tape kernel arithmetic: `reference` (default) or `fast` |
-/// | `--pool-backward`    | fan the DPO backward's matmul gradients over the pool |
 ///
-/// `--threads`, `--no-cache`, `--no-ref-cache`, `--pool-backward` and
-/// `--no-semantic-preflight` are pure performance/gating knobs — results
-/// are byte-identical whatever you pass (see DESIGN.md §8–§10, §13).
-/// `--kernel-mode fast` is the exception: it reassociates kernel
-/// accumulation, so artifacts deviate within the `kernel_gate` tolerance
-/// instead of matching byte-for-byte (DESIGN.md §13).
+/// `--threads` and `--no-cache` are pure performance knobs — results
+/// are byte-identical whatever you pass (see DESIGN.md §8).
 ///
 /// [`BenchCli::parse`] enables the global `obskit` recorder (unless
 /// `--no-obs`), and [`BenchCli::finish`] snapshots it and writes the
@@ -92,17 +84,6 @@ pub struct BenchCli {
     pub threads: usize,
     /// `--no-cache` was passed: disable verification memoization.
     pub no_cache: bool,
-    /// `--no-ref-cache` was passed: disable the DPO reference-logprob
-    /// cache (recompute reference forwards per pair visit).
-    pub no_ref_cache: bool,
-    /// `--no-semantic-preflight` was passed: skip the semantic rule-book
-    /// gate (used by CI to prove the gate never changes artifacts).
-    pub no_semantic_preflight: bool,
-    /// `--kernel-mode` value (`reference` unless `fast` was requested).
-    pub kernel_mode: tinylm::KernelMode,
-    /// `--pool-backward` was passed: fan the DPO backward pass's matmul
-    /// gradient work over the worker pool.
-    pub pool_backward: bool,
     /// The raw argument list (recorded in the report for provenance).
     pub args: Vec<String>,
     started: Instant,
@@ -127,10 +108,6 @@ impl BenchCli {
             no_obs: false,
             threads: 0,
             no_cache: false,
-            no_ref_cache: false,
-            no_semantic_preflight: false,
-            kernel_mode: tinylm::KernelMode::Reference,
-            pool_backward: false,
             args: args.clone(),
             started: Instant::now(),
         };
@@ -143,16 +120,6 @@ impl BenchCli {
                 "--no-obs" => cli.no_obs = true,
                 "--quiet" => quiet = true,
                 "--no-cache" => cli.no_cache = true,
-                "--no-ref-cache" => cli.no_ref_cache = true,
-                "--no-semantic-preflight" => cli.no_semantic_preflight = true,
-                "--pool-backward" => cli.pool_backward = true,
-                "--kernel-mode" => {
-                    cli.kernel_mode = it
-                        .next()
-                        .as_deref()
-                        .and_then(tinylm::KernelMode::parse)
-                        .unwrap_or_default();
-                }
                 "--metrics-out" => cli.metrics_out = it.next().map(PathBuf::from),
                 "--trace-out" => cli.trace_out = it.next().map(PathBuf::from),
                 "--flame-out" => cli.flame_out = it.next().map(PathBuf::from),
@@ -224,10 +191,6 @@ impl BenchCli {
         let mut cfg = pipeline_config(self.fast);
         cfg.threads = self.threads;
         cfg.verify_cache = !self.no_cache;
-        cfg.ref_cache = !self.no_ref_cache;
-        cfg.semantic_preflight = !self.no_semantic_preflight;
-        cfg.kernel_mode = self.kernel_mode;
-        cfg.pool_backward = self.pool_backward;
         cfg
     }
 }
@@ -309,10 +272,6 @@ mod tests {
                 "--threads",
                 "4",
                 "--no-cache",
-                "--no-ref-cache",
-                "--kernel-mode",
-                "fast",
-                "--pool-backward",
                 "--seeds=3", // unknown flags are left for the binary
             ]
             .map(str::to_owned)
@@ -336,26 +295,17 @@ mod tests {
         assert!(cli.alloc);
         assert_eq!(cli.threads, 4);
         assert!(cli.no_cache);
-        assert!(cli.no_ref_cache);
-        assert_eq!(cli.kernel_mode, tinylm::KernelMode::Fast);
-        assert!(cli.pool_backward);
-        assert_eq!(cli.args.len(), 17);
+        assert_eq!(cli.args.len(), 13);
 
         // The performance knobs land in the pipeline configuration.
         let cfg = cli.pipeline_config();
         assert_eq!(cfg.threads, 4);
         assert!(!cfg.verify_cache);
-        assert!(!cfg.ref_cache);
-        assert_eq!(cfg.kernel_mode, tinylm::KernelMode::Fast);
-        assert!(cfg.pool_backward);
         let defaults = BenchCli::from_args("headline", vec!["--no-obs".to_owned()]);
         assert_eq!(defaults.threads, 0);
         let cfg = defaults.pipeline_config();
         assert_eq!(cfg.threads, 0);
         assert!(cfg.verify_cache);
-        assert!(cfg.ref_cache);
-        assert_eq!(cfg.kernel_mode, tinylm::KernelMode::Reference);
-        assert!(!cfg.pool_backward);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
-use tinylm::{pretrain, AdaptMode, CondLm, KernelMode, LmConfig, PretrainOptions, SampleOptions};
+use tinylm::{pretrain, AdaptMode, CondLm, LmConfig, PretrainOptions, SampleOptions};
 
 /// Pipeline hyperparameters.
 ///
@@ -96,32 +96,16 @@ pub struct PipelineConfig {
     /// byte-identical at any capacity. The default bound keeps a
     /// long-running service's cache a working set, not a leak.
     pub verify_cache_capacity: Option<usize>,
-    /// Precompute the frozen reference model's sequence log-probs once
-    /// per DPO phase instead of re-running the reference forward for
-    /// every pair visit. Exact memoization of a pure function — training
-    /// trajectories and artifacts are byte-identical either way (see
-    /// DESIGN.md §9); on by default.
-    pub ref_cache: bool,
     /// Semantic pre-flight of the rule book
     /// ([`crate::feedback::preflight_rule_book_semantic`]): abort on
     /// `Error`-class `SL3xx` findings (empty-language or
     /// conflicting-under-world rules) before any sampling. A pure gate —
     /// artifacts are byte-identical with it on or off; on by default.
-    /// The verdict is memoized process-wide, so the cost is one semantic
-    /// sweep per process, not per run.
+    /// The verdict is memoized per rule book, so a process pays one
+    /// semantic sweep per distinct rule book, not per run. The switch
+    /// exists for [`PipelineConfig::smoke`], which turns it off so
+    /// debug-build tests do not pay the release-grade sweep.
     pub semantic_preflight: bool,
-    /// Which arithmetic the tinylm tape kernels use (see
-    /// `tinylm::kernels`): `reference` (default) is bit-identical to the
-    /// historical scalar loops; `fast` reassociates accumulation and
-    /// fuses multiply-adds, trading byte identity for speed within the
-    /// tolerance bounded by the `kernel_gate` CI gate. Set process-wide
-    /// when the pipeline is constructed.
-    pub kernel_mode: KernelMode,
-    /// Run the DPO backward pass with its matmul gradient work fanned
-    /// over the worker pool (intra-pair parallelism) instead of fanning
-    /// whole pairs out. Byte-identical at any thread count either way;
-    /// off by default.
-    pub pool_backward: bool,
 }
 
 /// The source of the automated ranking signal.
@@ -177,10 +161,7 @@ impl Default for PipelineConfig {
             threads: 0,
             verify_cache: true,
             verify_cache_capacity: Some(1 << 16),
-            ref_cache: true,
             semantic_preflight: true,
-            kernel_mode: KernelMode::Reference,
-            pool_backward: false,
         }
     }
 }
@@ -290,13 +271,8 @@ pub struct DpoAf {
 }
 
 impl DpoAf {
-    /// Creates a pipeline over a fresh [`DomainBundle`]. Sets the
-    /// process-global tinylm kernel mode to
-    /// [`PipelineConfig::kernel_mode`] — tapes capture it on their next
-    /// reset, so every workspace (including pool workers' thread-locals)
-    /// follows the configured mode.
+    /// Creates a pipeline over a fresh [`DomainBundle`].
     pub fn new(config: PipelineConfig) -> Self {
-        tinylm::kernels::set_mode(config.kernel_mode);
         DpoAf {
             bundle: DomainBundle::new(),
             cert_counters: Mutex::new(CertCounters::default()),
@@ -651,9 +627,7 @@ impl DpoAf {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let pretrained = self.pretrained_lm(&mut rng);
 
-        let trainer = DpoTrainer::new(self.config.train)
-            .with_ref_cache(self.config.ref_cache)
-            .with_pool_backward(self.config.pool_backward);
+        let trainer = DpoTrainer::new(self.config.train);
         let train_tasks = self.training_tasks();
         let val_tasks = self.config.validation_tasks.clone();
         let mut evals = Vec::new();
@@ -748,7 +722,6 @@ impl DpoAf {
 mod tests {
     use super::*;
 
-    #[test]
     /// The semantic gate is on for real runs; the smoke configuration
     /// opts out so the (release-grade) semantic sweep stays out of the
     /// debug-mode test suite. Its correctness is covered by speclint's

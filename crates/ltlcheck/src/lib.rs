@@ -81,4 +81,4 @@ pub use mc::{
     Counterexample, HoldsCertificate, Justice, NonPropositionalError, SpecResult, Verdict,
     VerificationReport,
 };
-pub use parser::{parse, ParseLtlError};
+pub use parser::{parse, ParseLtlError, MAX_NESTING};

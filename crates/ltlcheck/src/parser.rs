@@ -19,6 +19,15 @@ impl fmt::Display for ParseLtlError {
 
 impl std::error::Error for ParseLtlError {}
 
+/// The deepest formula [`parse`] accepts. Parentheses, prefix operators
+/// and each step of a right-associative `->`/`U`/`R` chain add a level,
+/// and so does each further operand of a left-associative `&`/`|`/`<->`
+/// chain: every level is a level of the formula tree. The parser, and
+/// every later pass over the tree, recurses once per level, so the bound
+/// keeps arbitrary input within a thread's stack (a formula at the limit
+/// parses on a 2 MiB thread in a debug build) instead of overflowing it.
+pub const MAX_NESTING: usize = 128;
+
 #[derive(Debug, Clone, PartialEq)]
 enum Tok {
     Atom(String),
@@ -185,6 +194,8 @@ struct Parser<'v> {
     pos: usize,
     vocab: &'v Vocab,
     input_len: usize,
+    /// Nesting levels entered so far, bounded by [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl<'v> Parser<'v> {
@@ -223,6 +234,29 @@ impl<'v> Parser<'v> {
         }
     }
 
+    /// Enters one more nesting level, or fails at the current token once
+    /// [`MAX_NESTING`] levels are open. Callers leave the level by
+    /// restoring `depth`; an error ends the parse, so it needs no
+    /// restoring.
+    fn descend(&mut self) -> Result<(), ParseLtlError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.error(format!("formula nests deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs `parse` one nesting level down.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Ltl, ParseLtlError>,
+    ) -> Result<Ltl, ParseLtlError> {
+        self.descend()?;
+        let phi = parse(self)?;
+        self.depth -= 1;
+        Ok(phi)
+    }
+
     // Grammar (loosest binding first):
     //   iff     := implies (`<->` implies)*
     //   implies := or (`->` implies)?          (right-assoc)
@@ -232,12 +266,15 @@ impl<'v> Parser<'v> {
     //   unary   := (`!`|`X`|`F`|`G`)* primary
     //   primary := atom | true | false | `(` iff `)`
     fn parse_iff(&mut self) -> Result<Ltl, ParseLtlError> {
+        let depth = self.depth;
         let mut lhs = self.parse_implies()?;
         while self.peek() == Some(&Tok::Iff) {
             self.pos += 1;
+            self.descend()?;
             let rhs = self.parse_implies()?;
             lhs = Ltl::iff(lhs, rhs);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
@@ -245,7 +282,7 @@ impl<'v> Parser<'v> {
         let lhs = self.parse_or()?;
         if self.peek() == Some(&Tok::Implies) {
             self.pos += 1;
-            let rhs = self.parse_implies()?;
+            let rhs = self.nested(Self::parse_implies)?;
             Ok(Ltl::implies(lhs, rhs))
         } else {
             Ok(lhs)
@@ -253,22 +290,28 @@ impl<'v> Parser<'v> {
     }
 
     fn parse_or(&mut self) -> Result<Ltl, ParseLtlError> {
+        let depth = self.depth;
         let mut lhs = self.parse_and()?;
         while self.peek() == Some(&Tok::Or) {
             self.pos += 1;
+            self.descend()?;
             let rhs = self.parse_and()?;
             lhs = Ltl::or(lhs, rhs);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn parse_and(&mut self) -> Result<Ltl, ParseLtlError> {
+        let depth = self.depth;
         let mut lhs = self.parse_until()?;
         while self.peek() == Some(&Tok::And) {
             self.pos += 1;
+            self.descend()?;
             let rhs = self.parse_until()?;
             lhs = Ltl::and(lhs, rhs);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
@@ -277,12 +320,12 @@ impl<'v> Parser<'v> {
         match self.peek() {
             Some(Tok::Until) => {
                 self.pos += 1;
-                let rhs = self.parse_until()?;
+                let rhs = self.nested(Self::parse_until)?;
                 Ok(Ltl::until(lhs, rhs))
             }
             Some(Tok::Release) => {
                 self.pos += 1;
-                let rhs = self.parse_until()?;
+                let rhs = self.nested(Self::parse_until)?;
                 Ok(Ltl::release(lhs, rhs))
             }
             _ => Ok(lhs),
@@ -293,19 +336,19 @@ impl<'v> Parser<'v> {
         match self.peek() {
             Some(Tok::Not) => {
                 self.pos += 1;
-                Ok(Ltl::not(self.parse_unary()?))
+                Ok(Ltl::not(self.nested(Self::parse_unary)?))
             }
             Some(Tok::Next) => {
                 self.pos += 1;
-                Ok(Ltl::next(self.parse_unary()?))
+                Ok(Ltl::next(self.nested(Self::parse_unary)?))
             }
             Some(Tok::Finally) => {
                 self.pos += 1;
-                Ok(Ltl::eventually(self.parse_unary()?))
+                Ok(Ltl::eventually(self.nested(Self::parse_unary)?))
             }
             Some(Tok::Globally) => {
                 self.pos += 1;
-                Ok(Ltl::always(self.parse_unary()?))
+                Ok(Ltl::always(self.nested(Self::parse_unary)?))
             }
             _ => self.parse_primary(),
         }
@@ -318,7 +361,7 @@ impl<'v> Parser<'v> {
             Some(Tok::False) => Ok(Ltl::False),
             Some(Tok::Atom(name)) => self.resolve_atom(&name, pos),
             Some(Tok::LParen) => {
-                let inner = self.parse_iff()?;
+                let inner = self.nested(Self::parse_iff)?;
                 self.expect(Tok::RParen, "closing `)`")?;
                 Ok(inner)
             }
@@ -360,8 +403,9 @@ impl<'v> Parser<'v> {
 ///
 /// # Errors
 ///
-/// Returns [`ParseLtlError`] on malformed syntax or when an atom is not
-/// found in `vocab`.
+/// Returns [`ParseLtlError`] on malformed syntax, when an atom is not
+/// found in `vocab`, or when the formula nests deeper than
+/// [`MAX_NESTING`].
 ///
 /// # Example
 ///
@@ -384,6 +428,7 @@ pub fn parse(input: &str, vocab: &Vocab) -> Result<Ltl, ParseLtlError> {
         pos: 0,
         vocab,
         input_len: input.len(),
+        depth: 0,
     };
     let formula = parser.parse_iff()?;
     if parser.pos != parser.tokens.len() {
@@ -496,6 +541,69 @@ mod tests {
         assert!(err.message.contains("trailing"));
         let err = parse("\"oops", &v).unwrap_err();
         assert!(err.message.contains("unterminated"));
+    }
+
+    /// One formula per nesting shape, `n` levels deep.
+    fn nested_shapes(n: usize) -> [String; 4] {
+        [
+            format!("{}a{}", "(".repeat(n), ")".repeat(n)),
+            format!("{}a", "! ".repeat(n)),
+            format!("{}a", "a -> ".repeat(n)),
+            format!("{}a", "a U ".repeat(n)),
+        ]
+    }
+
+    /// Deep nesting is a positioned error, not a stack overflow.
+    #[test]
+    fn deep_nesting_is_an_error() {
+        let v = vocab();
+        for src in nested_shapes(100_000)
+            .into_iter()
+            .chain([format!("{}a", "a & ".repeat(100_000))])
+        {
+            let err = parse(&src, &v).unwrap_err();
+            assert!(err.message.contains("nests deeper"), "{}", err.message);
+            assert!(err.position > 0 && err.position < src.len());
+        }
+    }
+
+    /// A formula exactly at the limit parses, and is dropped, on a 2 MiB
+    /// thread — the default test-thread stack — in a debug build; one
+    /// level more is rejected.
+    #[test]
+    fn nesting_at_the_limit_parses_on_a_small_stack() {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let v = vocab();
+                for (at, over) in nested_shapes(MAX_NESTING)
+                    .into_iter()
+                    .zip(nested_shapes(MAX_NESTING + 1))
+                {
+                    assert!(parse(&at, &v).is_ok(), "{}", &at[..16]);
+                    assert!(parse(&over, &v).is_err(), "{}", &over[..16]);
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    /// Every shipped rule book still parses from its printed form.
+    #[test]
+    fn shipped_rule_books_parse() {
+        let d = autokit::presets::DrivingDomain::new();
+        let specs = crate::specs::driving_specs(&d)
+            .into_iter()
+            .chain(crate::specs::headline_specs(&d));
+        for spec in specs {
+            let printed = spec.formula.to_string(&d.vocab);
+            assert_eq!(
+                parse(&printed, &d.vocab).unwrap(),
+                spec.formula,
+                "{printed}"
+            );
+        }
     }
 
     #[test]

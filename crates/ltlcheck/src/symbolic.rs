@@ -19,9 +19,7 @@
 //! * **Interleaved variable order.** Current/next bits of the same state
 //!   bit are adjacent (`cur = 2k`, `next = 2k+1`), the known-good order
 //!   for transition relations. Graph bits always come first, nearest the
-//!   root, so nothing built over them depends on the Büchi automaton. A
-//!   per-component blocked layout (`[g | g' | b | b']`) is selectable
-//!   through [`SymbolicConfig`] for differential testing.
+//!   root, so nothing built over them depends on the Büchi automaton.
 //! * **Early quantification.** Image and pre-image are computed with the
 //!   fused [`bdd::BddManager::and_exists`] relational product, one
 //!   partition conjunct at a time: each variable is quantified out at the
@@ -52,45 +50,6 @@ use std::collections::HashMap;
 
 #[cfg(test)]
 mod reference;
-
-/// Variable layout of the current/next state bits. Graph bits precede
-/// Büchi bits in both layouts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VarOrder {
-    /// Current/next pairs adjacent: bit `k` occupies variables `2k`
-    /// (current) and `2k+1` (next). The known-good order for transition
-    /// relations — a relation relating `x` to `x'` stays linear in the
-    /// number of bits instead of exponential.
-    #[default]
-    Interleaved,
-    /// Separate blocks per component: `[g | g' | b | b']` — graph
-    /// current bits, graph next bits, then the same for the Büchi
-    /// automaton. Kept for differential testing.
-    Blocked,
-}
-
-/// Tuning knobs for the symbolic backend. The defaults (interleaved
-/// order, partitioned relation) are the fast path; the alternatives exist
-/// so equivalence with the straightforward encoding stays a testable
-/// property rather than folklore.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SymbolicConfig {
-    /// Variable layout.
-    pub order: VarOrder,
-    /// Keep the graph/Büchi relations partitioned (`true`) or conjoin
-    /// them with the validity constraints into one monolithic relation
-    /// (`false`).
-    pub partitioned: bool,
-}
-
-impl Default for SymbolicConfig {
-    fn default() -> Self {
-        SymbolicConfig {
-            order: VarOrder::Interleaved,
-            partitioned: true,
-        }
-    }
-}
 
 /// Statistics from a symbolic check, for benchmarking and diagnostics.
 /// Node counts include the compiled graph side, which the check shares
@@ -124,22 +83,14 @@ pub fn check_graph_fair_symbolic(graph: &LabelGraph, phi: &Ltl, justice: &[Justi
     check_with_stats(graph, phi, justice).0
 }
 
-/// [`check_graph_fair_symbolic`] with statistics, under the default
-/// configuration.
-pub fn check_with_stats(
-    graph: &LabelGraph,
-    phi: &Ltl,
-    justice: &[Justice],
-) -> (bool, SymbolicStats) {
-    check_with_config(graph, phi, justice, SymbolicConfig::default())
-}
-
-/// Variable positions of the graph and Büchi bits. Graph positions do
-/// not depend on `bbits`, which is what lets the graph side be compiled
-/// before any Büchi automaton is known.
+/// Variable positions of the graph and Büchi bits, current/next pairs
+/// adjacent: bit `k` of a component occupies variables `2k` (current)
+/// and `2k+1` (next), graph bits first. A relation relating `x` to `x'`
+/// stays linear in the number of bits under this order instead of
+/// exponential. Graph positions do not depend on `bbits`, which is what
+/// lets the graph side be compiled before any Büchi automaton is known.
 #[derive(Debug, Clone, Copy)]
 struct Layout {
-    order: VarOrder,
     gbits: u32,
     bbits: u32,
 }
@@ -152,25 +103,16 @@ impl Layout {
 
     /// Variable of graph bit `i` in the current or next block.
     fn graph_var(&self, i: u32, next: bool) -> u32 {
-        let next = u32::from(next);
-        match self.order {
-            VarOrder::Interleaved => 2 * i + next,
-            VarOrder::Blocked => i + next * self.gbits,
-        }
+        2 * i + u32::from(next)
     }
 
     /// Variable of Büchi bit `i` in the current or next block.
     fn buchi_var(&self, i: u32, next: bool) -> u32 {
-        let next = u32::from(next);
-        2 * self.gbits
-            + match self.order {
-                VarOrder::Interleaved => 2 * i + next,
-                VarOrder::Blocked => i + next * self.bbits,
-            }
+        2 * (self.gbits + i) + u32::from(next)
     }
 
     /// Literals encoding graph state `value` (sorted by variable: bit
-    /// positions increase with the bit index in both orders).
+    /// positions increase with the bit index).
     fn graph_lits(&self, value: u32, next: bool) -> Vec<(u32, bool)> {
         (0..self.gbits)
             .map(|i| (self.graph_var(i, next), value & (1 << i) != 0))
@@ -215,7 +157,6 @@ impl Layout {
 struct CompiledGraph {
     /// The graph this was compiled from — the memo key, compared in full.
     graph: LabelGraph,
-    order: VarOrder,
     m: BddManager,
     gbits: u32,
     t_graph: Ref,
@@ -239,11 +180,10 @@ thread_local! {
 }
 
 impl CompiledGraph {
-    fn new(graph: &LabelGraph, order: VarOrder) -> Self {
+    fn new(graph: &LabelGraph) -> Self {
         #[cfg(test)]
         COMPILES.with(|c| c.set(c.get() + 1));
         let layout = Layout {
-            order,
             gbits: bits_for(graph.num_nodes()),
             bbits: 0,
         };
@@ -273,7 +213,6 @@ impl CompiledGraph {
         let mark = m.mark();
         CompiledGraph {
             graph: graph.clone(),
-            order,
             m,
             gbits: layout.gbits,
             t_graph,
@@ -286,14 +225,8 @@ impl CompiledGraph {
     /// `justice`, then releases everything the check built. The cache
     /// statistics are left for the caller, which knows where the call
     /// started.
-    fn check(
-        &mut self,
-        buchi: &Buchi,
-        justice: &[Justice],
-        partitioned: bool,
-    ) -> (bool, SymbolicStats) {
+    fn check(&mut self, buchi: &Buchi, justice: &[Justice]) -> (bool, SymbolicStats) {
         let layout = Layout {
-            order: self.order,
             gbits: self.gbits,
             bbits: bits_for(buchi.num_states()),
         };
@@ -326,36 +259,16 @@ impl CompiledGraph {
             build_component(m, &groups, |m, b, next| m.cube(&layout.buchi_lits(b, next)))
         };
 
-        let relation = {
-            let g_cur = layout.graph_vars(false);
-            let g_next = layout.graph_vars(true);
-            let b_cur = layout.buchi_vars(false);
-            let b_next = layout.buchi_vars(true);
-            let all_cur: Vec<u32> = g_cur.iter().chain(&b_cur).copied().collect();
-            let all_next: Vec<u32> = g_next.iter().chain(&b_next).copied().collect();
-            let to_next = layout.block_map(false);
-            let mono = if partitioned {
-                None
-            } else {
-                let valid_next = m.rename(valid, &to_next);
-                let gb = m.and(self.t_graph, t_buchi);
-                let gbv = m.and(gb, valid_next);
-                Some(m.and(gbv, valid))
-            };
-            Relation {
-                mono,
-                t_graph: self.t_graph,
-                t_buchi,
-                valid,
-                g_cur,
-                g_next,
-                b_cur,
-                b_next,
-                all_cur,
-                all_next,
-                to_next,
-                to_cur: layout.block_map(true),
-            }
+        let relation = Relation {
+            t_graph: self.t_graph,
+            t_buchi,
+            valid,
+            g_cur: layout.graph_vars(false),
+            g_next: layout.graph_vars(true),
+            b_cur: layout.buchi_vars(false),
+            b_next: layout.buchi_vars(true),
+            to_next: layout.block_map(false),
+            to_cur: layout.block_map(true),
         };
 
         // ---- Initial states ----------------------------------------------
@@ -451,11 +364,9 @@ impl CompiledGraph {
     }
 }
 
-/// The transition structure, either partitioned or monolithic.
+/// The partitioned transition structure: `T_G` and `T_B` are never
+/// conjoined.
 struct Relation {
-    /// Monolithic `T_G ∧ T_B ∧ valid ∧ valid'` when configured;
-    /// otherwise the partition below is used directly.
-    mono: Option<Ref>,
     t_graph: Ref,
     t_buchi: Ref,
     valid: Ref,
@@ -463,40 +374,29 @@ struct Relation {
     g_next: Vec<u32>,
     b_cur: Vec<u32>,
     b_next: Vec<u32>,
-    all_cur: Vec<u32>,
-    all_next: Vec<u32>,
     /// Renaming maps current block → next block and back.
     to_next: Vec<u32>,
     to_cur: Vec<u32>,
 }
 
 impl Relation {
-    /// Successors of `s` (image), for `s ⊆ valid`. With the partition,
-    /// graph bits are quantified out at `T_G` and Büchi bits at `T_B` —
-    /// the early-quantification schedule; the conjunction
-    /// `s ∧ T_G ∧ T_B` is never built.
+    /// Successors of `s` (image), for `s ⊆ valid`. Graph bits are
+    /// quantified out at `T_G` and Büchi bits at `T_B` — the
+    /// early-quantification schedule; the conjunction `s ∧ T_G ∧ T_B` is
+    /// never built.
     fn image(&self, m: &mut BddManager, s: Ref) -> Ref {
-        if let Some(trans) = self.mono {
-            let step = m.and_exists(s, trans, &self.all_cur);
-            m.rename(step, &self.to_cur)
-        } else {
-            let a = m.and_exists(s, self.t_graph, &self.g_cur);
-            let b = m.and_exists(a, self.t_buchi, &self.b_cur);
-            let img = m.rename(b, &self.to_cur);
-            m.and(img, self.valid)
-        }
+        let a = m.and_exists(s, self.t_graph, &self.g_cur);
+        let b = m.and_exists(a, self.t_buchi, &self.b_cur);
+        let img = m.rename(b, &self.to_cur);
+        m.and(img, self.valid)
     }
 
     /// Predecessors of `s` (pre-image / EX), for `s ⊆ valid`.
     fn pre(&self, m: &mut BddManager, s: Ref) -> Ref {
         let s_next = m.rename(s, &self.to_next);
-        if let Some(trans) = self.mono {
-            m.and_exists(trans, s_next, &self.all_next)
-        } else {
-            let a = m.and_exists(s_next, self.t_graph, &self.g_next);
-            let b = m.and_exists(a, self.t_buchi, &self.b_next);
-            m.and(b, self.valid)
-        }
+        let a = m.and_exists(s_next, self.t_graph, &self.g_next);
+        let b = m.and_exists(a, self.t_buchi, &self.b_next);
+        m.and(b, self.valid)
     }
 
     /// `E[Z U T]` as a frontier-based backward least fixpoint: each
@@ -518,20 +418,17 @@ impl Relation {
     }
 }
 
-/// [`check_graph_fair_symbolic`] with statistics, under an explicit
-/// [`SymbolicConfig`]. Every configuration decides the same property;
-/// the proptests below pin the equivalences.
+/// [`check_graph_fair_symbolic`] with statistics.
 ///
 /// The graph side of the encoding is memoized per thread: a call whose
-/// graph equals the previous call's (full [`LabelGraph`] equality) under
-/// the same variable order reuses it, so only the Büchi side is built.
-/// Otherwise the old compiled graph is dropped before the new one is
-/// built, so at most one is alive per thread.
-pub fn check_with_config(
+/// graph equals the previous call's (full [`LabelGraph`] equality)
+/// reuses it, so only the Büchi side is built. Otherwise the old
+/// compiled graph is dropped before the new one is built, so at most one
+/// is alive per thread.
+pub fn check_with_stats(
     graph: &LabelGraph,
     phi: &Ltl,
     justice: &[Justice],
-    config: SymbolicConfig,
 ) -> (bool, SymbolicStats) {
     let neg = Ltl::not(phi.clone());
     let buchi = Buchi::from_ltl(&neg);
@@ -543,12 +440,12 @@ pub fn check_with_config(
     // mid-check drops the half-used manager instead of leaving it behind.
     let cached = COMPILED
         .with(|slot| slot.borrow_mut().take())
-        .filter(|c| c.order == config.order && c.graph == *graph);
+        .filter(|c| c.graph == *graph);
     let (lookups, hits) = cached
         .as_ref()
         .map_or((0, 0), |c| (c.m.cache_lookups(), c.m.cache_hits()));
-    let mut compiled = cached.unwrap_or_else(|| CompiledGraph::new(graph, config.order));
-    let (holds, mut stats) = compiled.check(&buchi, justice, config.partitioned);
+    let mut compiled = cached.unwrap_or_else(|| CompiledGraph::new(graph));
+    let (holds, mut stats) = compiled.check(&buchi, justice);
     stats.cache_lookups = compiled.m.cache_lookups() - lookups;
     stats.cache_hits = compiled.m.cache_hits() - hits;
     COMPILED.with(|slot| *slot.borrow_mut() = Some(compiled));
@@ -733,27 +630,6 @@ mod tests {
         assert!(stats.cache_hits <= stats.cache_lookups);
     }
 
-    fn all_configs() -> [SymbolicConfig; 4] {
-        [
-            SymbolicConfig {
-                order: VarOrder::Interleaved,
-                partitioned: true,
-            },
-            SymbolicConfig {
-                order: VarOrder::Interleaved,
-                partitioned: false,
-            },
-            SymbolicConfig {
-                order: VarOrder::Blocked,
-                partitioned: true,
-            },
-            SymbolicConfig {
-                order: VarOrder::Blocked,
-                partitioned: false,
-            },
-        ]
-    }
-
     #[test]
     fn configs_agree_on_simple_cases() {
         let v = vocab();
@@ -763,10 +639,8 @@ mod tests {
         for spec in ["G a", "F !a", "a U b", "X a", "G F a"] {
             let phi = parse(spec, &v).unwrap();
             let expected = check_graph_fair(&graph, &phi, &[]).holds();
-            for config in all_configs() {
-                let (got, _) = check_with_config(&graph, &phi, &[], config);
-                assert_eq!(expected, got, "{spec} under {config:?}");
-            }
+            let (got, _) = check_with_stats(&graph, &phi, &[]);
+            assert_eq!(expected, got, "{spec}");
         }
     }
 
@@ -803,15 +677,6 @@ mod tests {
         assert_eq!(fresh.1.bdd_nodes, again.1.bdd_nodes);
         assert_eq!(fresh.1.el_iterations, again.1.el_iterations);
         assert_eq!(fresh.1.reach_rings, again.1.reach_rings);
-
-        // The graph side depends on the variable order: switching it
-        // recompiles.
-        let blocked = SymbolicConfig {
-            order: VarOrder::Blocked,
-            partitioned: true,
-        };
-        let _ = check_with_config(&graph, &phi, &justice, blocked);
-        assert_eq!(compiles(), before + 1);
     }
 
     /// Regression: a graph mutated in place between two calls (same
@@ -863,8 +728,7 @@ mod tests {
     }
 
     /// Random branching graphs (not just lassos). `max_nodes`/`max_edges`
-    /// scale the instance size — the cross-backend differential runs on
-    /// larger graphs than the config-equivalence tests.
+    /// scale the instance size.
     fn arb_graph(max_nodes: usize, max_edges: usize) -> impl Strategy<Value = LabelGraph> {
         (
             proptest::collection::vec(0u8..8, 1..max_nodes),
@@ -919,61 +783,26 @@ mod tests {
             prop_assert_eq!(explicit, symbolic, "with justice: {:?}", phi);
         }
 
-        /// The partitioned relation decides exactly what the monolithic
-        /// conjunction decides, in both variable orders.
-        #[test]
-        fn partitioned_matches_monolithic(graph in arb_graph(8, 24), phi in arb_ltl()) {
-            let v = vocab();
-            let justice = [Justice::new("a io", parse("a", &v).unwrap()).unwrap()];
-            for order in [VarOrder::Interleaved, VarOrder::Blocked] {
-                let part = check_with_config(
-                    &graph, &phi, &justice,
-                    SymbolicConfig { order, partitioned: true },
-                ).0;
-                let mono = check_with_config(
-                    &graph, &phi, &justice,
-                    SymbolicConfig { order, partitioned: false },
-                ).0;
-                prop_assert_eq!(part, mono, "order {:?}: {:?}", order, phi);
-            }
-        }
-
-        /// Interleaved and blocked variable orders give the same verdict
-        /// (the order changes BDD sizes, never semantics).
-        #[test]
-        fn interleaved_matches_blocked(graph in arb_graph(8, 24), phi in arb_ltl()) {
-            let inter = check_with_config(
-                &graph, &phi, &[],
-                SymbolicConfig { order: VarOrder::Interleaved, partitioned: true },
-            ).0;
-            let blocked = check_with_config(
-                &graph, &phi, &[],
-                SymbolicConfig { order: VarOrder::Blocked, partitioned: true },
-            ).0;
-            prop_assert_eq!(inter, blocked, "{:?}", phi);
-        }
-
         /// A random sequence of calls — repeated, alternating and
-        /// same-graph/different-justice steps, under every configuration —
-        /// through the memoized checker: each verdict equals the explicit
-        /// checker's and the fresh-manager reference checker's.
+        /// same-graph/different-justice steps — through the memoized
+        /// checker: each verdict equals the explicit checker's and the
+        /// fresh-manager reference checker's.
         #[test]
         fn memoized_sequences_match_explicit_and_reference(
             pool in proptest::collection::vec(arb_label_graph(), 1..4),
             steps in proptest::collection::vec(
-                (0usize..4, arb_ltl(), arb_justice(), 0usize..4, any::<bool>()),
+                (0usize..4, arb_ltl(), arb_justice(), any::<bool>()),
                 1..10,
             ),
         ) {
-            for (i, (g, phi, justice, config, twice)) in steps.iter().enumerate() {
+            for (i, (g, phi, justice, twice)) in steps.iter().enumerate() {
                 let graph = &pool[g % pool.len()];
-                let config = all_configs()[*config];
                 let explicit = check_graph_fair(graph, phi, justice).holds();
-                let reference = reference::check_with_config(graph, phi, justice, config).0;
+                let reference = reference::check(graph, phi, justice);
                 prop_assert_eq!(explicit, reference, "step {}: {:?}", i, phi);
                 for _ in 0..=usize::from(*twice) {
-                    let got = check_with_config(graph, phi, justice, config).0;
-                    prop_assert_eq!(got, explicit, "step {} under {:?}: {:?}", i, config, phi);
+                    let got = check_with_stats(graph, phi, justice).0;
+                    prop_assert_eq!(got, explicit, "step {}: {:?}", i, phi);
                 }
             }
         }

@@ -1,19 +1,18 @@
 //! The fresh-manager symbolic checker, kept as a test oracle for the
-//! compiled one in the parent module: a new `BddManager` per call, the
-//! component with more states nearest the root, and `VarOrder::Blocked`
-//! meaning one `[cur | next]` block pair over the whole state word. Both
-//! must decide every query the same way.
+//! compiled one in the parent module: a new `BddManager` per call and
+//! the component with more states nearest the root. Both must decide
+//! every query the same way.
 
-use super::{SymbolicConfig, SymbolicStats, VarOrder};
 use crate::{Buchi, Justice, Ltl};
 use autokit::LabelGraph;
 use bdd::{BddManager, Ref};
 use std::collections::HashMap;
 
 /// Bit positions of one product component within the state word.
+/// Current/next copies of global state bit `k` are variables `2k` and
+/// `2k+1`.
 #[derive(Debug, Clone, Copy)]
 struct Layout {
-    order: VarOrder,
     state_bits: u32,
     gbits: u32,
     bbits: u32,
@@ -23,40 +22,14 @@ struct Layout {
 }
 
 impl Layout {
-    fn new(order: VarOrder, ng: usize, nb: usize) -> Self {
+    fn new(ng: usize, nb: usize) -> Self {
         let gbits = bits_for(ng);
         let bbits = bits_for(nb);
         Layout {
-            order,
             state_bits: gbits + bbits,
             gbits,
             bbits,
             graph_first: ng >= nb,
-        }
-    }
-
-    /// Current-block variable of global state bit `k`.
-    fn cur_var(&self, k: u32) -> u32 {
-        match self.order {
-            VarOrder::Interleaved => 2 * k,
-            VarOrder::Blocked => k,
-        }
-    }
-
-    /// Next-block variable of global state bit `k`.
-    fn next_var(&self, k: u32) -> u32 {
-        match self.order {
-            VarOrder::Interleaved => 2 * k + 1,
-            VarOrder::Blocked => k + self.state_bits,
-        }
-    }
-
-    /// `rename_shift` offset taking a current-block function to the next
-    /// block.
-    fn shift(&self) -> i64 {
-        match self.order {
-            VarOrder::Interleaved => 1,
-            VarOrder::Blocked => i64::from(self.state_bits),
         }
     }
 
@@ -100,12 +73,7 @@ impl Layout {
         let mut lits: Vec<(u32, bool)> = (0..bits)
             .map(|i| {
                 let k = pos(self, i);
-                let v = if next {
-                    self.next_var(k)
-                } else {
-                    self.cur_var(k)
-                };
-                (v, value & (1 << i) != 0)
+                (2 * k + u32::from(next), value & (1 << i) != 0)
             })
             .collect();
         lits.sort_unstable_by_key(|&(v, _)| v);
@@ -115,37 +83,20 @@ impl Layout {
     /// The chosen block's variables for the graph bits.
     fn graph_vars(&self, next: bool) -> Vec<u32> {
         (0..self.gbits)
-            .map(|i| {
-                let k = self.graph_bit(i);
-                if next {
-                    self.next_var(k)
-                } else {
-                    self.cur_var(k)
-                }
-            })
+            .map(|i| 2 * self.graph_bit(i) + u32::from(next))
             .collect()
     }
 
     /// The chosen block's variables for the Büchi bits.
     fn buchi_vars(&self, next: bool) -> Vec<u32> {
         (0..self.bbits)
-            .map(|i| {
-                let k = self.buchi_bit(i);
-                if next {
-                    self.next_var(k)
-                } else {
-                    self.cur_var(k)
-                }
-            })
+            .map(|i| 2 * self.buchi_bit(i) + u32::from(next))
             .collect()
     }
 }
 
-/// The transition structure, either partitioned or monolithic.
+/// The partitioned transition structure.
 struct Relation {
-    /// Monolithic `T_G ∧ T_B ∧ valid ∧ valid'` when configured;
-    /// otherwise the partition below is used directly.
-    mono: Option<Ref>,
     t_graph: Ref,
     t_buchi: Ref,
     valid: Ref,
@@ -153,38 +104,23 @@ struct Relation {
     g_next: Vec<u32>,
     b_cur: Vec<u32>,
     b_next: Vec<u32>,
-    all_cur: Vec<u32>,
-    all_next: Vec<u32>,
-    shift: i64,
 }
 
 impl Relation {
-    /// Successors of `s` (image), for `s ⊆ valid`. With the partition,
-    /// graph bits are quantified out at `T_G` and Büchi bits at `T_B` —
-    /// the early-quantification schedule; the conjunction
-    /// `s ∧ T_G ∧ T_B` is never built.
+    /// Successors of `s` (image), for `s ⊆ valid`.
     fn image(&self, m: &mut BddManager, s: Ref) -> Ref {
-        if let Some(trans) = self.mono {
-            let step = m.and_exists(s, trans, &self.all_cur);
-            m.rename_shift(step, -self.shift)
-        } else {
-            let a = m.and_exists(s, self.t_graph, &self.g_cur);
-            let b = m.and_exists(a, self.t_buchi, &self.b_cur);
-            let img = m.rename_shift(b, -self.shift);
-            m.and(img, self.valid)
-        }
+        let a = m.and_exists(s, self.t_graph, &self.g_cur);
+        let b = m.and_exists(a, self.t_buchi, &self.b_cur);
+        let img = m.rename_shift(b, -1);
+        m.and(img, self.valid)
     }
 
     /// Predecessors of `s` (pre-image / EX), for `s ⊆ valid`.
     fn pre(&self, m: &mut BddManager, s: Ref) -> Ref {
-        let s_next = m.rename_shift(s, self.shift);
-        if let Some(trans) = self.mono {
-            m.and_exists(trans, s_next, &self.all_next)
-        } else {
-            let a = m.and_exists(s_next, self.t_graph, &self.g_next);
-            let b = m.and_exists(a, self.t_buchi, &self.b_next);
-            m.and(b, self.valid)
-        }
+        let s_next = m.rename_shift(s, 1);
+        let a = m.and_exists(s_next, self.t_graph, &self.g_next);
+        let b = m.and_exists(a, self.t_buchi, &self.b_next);
+        m.and(b, self.valid)
     }
 
     /// `E[Z U T]` as a frontier-based backward least fixpoint: each
@@ -206,24 +142,18 @@ impl Relation {
     }
 }
 
-/// [`check_graph_fair_symbolic`] with statistics, under an explicit
-/// [`SymbolicConfig`]. Every configuration decides the same property;
-/// the proptests below pin the equivalences.
-pub(super) fn check_with_config(
-    graph: &LabelGraph,
-    phi: &Ltl,
-    justice: &[Justice],
-    config: SymbolicConfig,
-) -> (bool, SymbolicStats) {
+/// Returns `true` iff every justice-fair infinite path of `graph`
+/// satisfies `phi`, deciding it in a fresh manager.
+pub(super) fn check(graph: &LabelGraph, phi: &Ltl, justice: &[Justice]) -> bool {
     let neg = Ltl::not(phi.clone());
     let buchi = Buchi::from_ltl(&neg);
     let ng = graph.num_nodes();
     let nb = buchi.num_states();
     if ng == 0 || nb == 0 || graph.initial.is_empty() {
-        return (true, SymbolicStats::default());
+        return true;
     }
 
-    let layout = Layout::new(config.order, ng, nb);
+    let layout = Layout::new(ng, nb);
     let mut m = BddManager::new(2 * layout.state_bits);
 
     // ---- Valid state space -------------------------------------------
@@ -290,34 +220,14 @@ pub(super) fn check_with_config(
         )
     };
 
-    let relation = {
-        let g_cur = layout.graph_vars(false);
-        let g_next = layout.graph_vars(true);
-        let b_cur = layout.buchi_vars(false);
-        let b_next = layout.buchi_vars(true);
-        let all_cur: Vec<u32> = g_cur.iter().chain(&b_cur).copied().collect();
-        let all_next: Vec<u32> = g_next.iter().chain(&b_next).copied().collect();
-        let mono = if config.partitioned {
-            None
-        } else {
-            let valid_next = m.rename_shift(valid, layout.shift());
-            let gb = m.and(t_graph, t_buchi);
-            let gbv = m.and(gb, valid_next);
-            Some(m.and(gbv, valid))
-        };
-        Relation {
-            mono,
-            t_graph,
-            t_buchi,
-            valid,
-            g_cur,
-            g_next,
-            b_cur,
-            b_next,
-            all_cur,
-            all_next,
-            shift: layout.shift(),
-        }
+    let relation = Relation {
+        t_graph,
+        t_buchi,
+        valid,
+        g_cur: layout.graph_vars(false),
+        g_next: layout.graph_vars(true),
+        b_cur: layout.buchi_vars(false),
+        b_next: layout.buchi_vars(true),
     };
 
     // ---- Initial states ----------------------------------------------
@@ -344,9 +254,7 @@ pub(super) fn check_with_config(
     let fals = m.constant(false);
     let mut reach = init;
     let mut frontier = init;
-    let mut reach_rings = 0;
     while frontier != fals {
-        reach_rings += 1;
         let img = relation.image(&mut m, frontier);
         let nr = m.not(reach);
         frontier = m.and(img, nr);
@@ -394,9 +302,7 @@ pub(super) fn check_with_config(
     // state lies entirely within it — the gfp restricted to reach finds
     // exactly the reachable fair-cycle states.
     let mut z = reach;
-    let mut el_iterations = 0;
     loop {
-        el_iterations += 1;
         let mut znew = z;
         for &f in &families {
             let zf = m.and(znew, f);
@@ -411,17 +317,7 @@ pub(super) fn check_with_config(
     }
 
     // A fair cycle is reachable iff Z (⊆ reach) is non-empty.
-    let holds = !m.satisfiable(z);
-    let stats = SymbolicStats {
-        state_bits: layout.state_bits,
-        bdd_nodes: m.num_nodes(),
-        peak_nodes: m.peak_nodes(),
-        el_iterations,
-        reach_rings,
-        cache_lookups: m.cache_lookups(),
-        cache_hits: m.cache_hits(),
-    };
-    (holds, stats)
+    !m.satisfiable(z)
 }
 
 /// Groups states `0..n` by successor set (sorted, deduplicated), in

@@ -8,91 +8,19 @@
 //! registers and vector lanes instead of bouncing through
 //! `Vec<Vec<f32>>` double indexing.
 //!
-//! # Two modes, one contract
+//! # One contract: bit-identical to the scalar loops
 //!
-//! Every kernel runs in one of two [`KernelMode`]s:
-//!
-//! * [`KernelMode::Reference`] (default) is **bit-identical** to the
-//!   scalar loops it replaced. The speedup comes only from
-//!   transformations that leave every output element's f32 operation
-//!   sequence unchanged: blocking across *independent* output elements
-//!   (8 forward dots advance together, each still a left-to-right
-//!   fold), splitting interleaved accumulations into per-buffer passes
-//!   (different destinations never interact), and replacing indexed
-//!   `Vec<Vec<f32>>` walks with slice iteration the compiler can
-//!   bounds-check once and vectorize. The existing byte-equality CI
-//!   gates and the proptests in this module (blocked vs. retained naive
-//!   kernels, ragged shapes included) enforce the contract.
-//! * [`KernelMode::Fast`] is allowed to **reassociate**: dots accumulate
-//!   in 8 interleaved lanes that are only combined at the end, and — on
-//!   builds with hardware FMA — multiply-adds fuse into
-//!   [`f32::mul_add`] (one rounding instead of two). Results differ
-//!   from reference in the low bits, and may differ *per build* (the
-//!   FMA fusion is compile-time gated on the `fma` target feature) —
-//!   the deviation is
-//!   bounded by tolerance tests here and by the `kernel_gate` CI gate,
-//!   not by byte equality.
-//!
-//! The mode is a process-global default ([`set_mode`]/[`mode`]) captured
-//! by each [`crate::tape::Tape`] when it is created or reset, so
-//! thread-local workspaces on pool workers pick up the configured mode
-//! without any signature changes along the hot path.
-
-use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Which arithmetic the tape kernels use. See the module docs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum KernelMode {
-    /// Bit-identical to the original scalar loops (the default): only
-    /// transformations that preserve each output element's exact f32
-    /// operation sequence are allowed.
-    #[default]
-    Reference,
-    /// Reassociated 8-lane accumulation and FMA fusion: faster, and
-    /// within a tested tolerance of reference instead of bit-identical.
-    Fast,
-}
-
-impl KernelMode {
-    /// Parses the CLI spelling (`reference` / `fast`).
-    pub fn parse(s: &str) -> Option<KernelMode> {
-        match s {
-            "reference" => Some(KernelMode::Reference),
-            "fast" => Some(KernelMode::Fast),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for KernelMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            KernelMode::Reference => write!(f, "reference"),
-            KernelMode::Fast => write!(f, "fast"),
-        }
-    }
-}
-
-/// Process-global default kernel mode, captured by [`crate::tape::Tape`]
-/// at creation/reset time. An atomic (same pattern as obskit's global
-/// recorder switch) so the pipeline can set it once before training and
-/// every pool worker's thread-local workspace observes it.
-static MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the process-global default [`KernelMode`].
-pub fn set_mode(mode: KernelMode) {
-    MODE.store(mode as u8, Ordering::Relaxed);
-}
-
-/// The process-global default [`KernelMode`].
-pub fn mode() -> KernelMode {
-    match MODE.load(Ordering::Relaxed) {
-        1 => KernelMode::Fast,
-        _ => KernelMode::Reference,
-    }
-}
+//! Every kernel is **bit-identical** to the scalar loop it replaced.
+//! The speedup comes only from transformations that leave every output
+//! element's f32 operation sequence unchanged: blocking across
+//! *independent* output elements (8 forward dots advance together, each
+//! still a left-to-right fold), splitting interleaved accumulations into
+//! per-buffer passes (different destinations never interact), and
+//! replacing indexed `Vec<Vec<f32>>` walks with slice iteration the
+//! compiler can bounds-check once and vectorize. The byte-equality CI
+//! gates and the proptests in this module (blocked vs. retained naive
+//! kernels, ragged shapes included) enforce the contract, so every
+//! trained artifact is reproducible bit for bit from a seed.
 
 /// The sequential dot product every matrix op on the tape is built from:
 /// a left-to-right fold starting at `0.0`. Centralizing it pins the
@@ -110,79 +38,13 @@ pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// current x86/ARM core without spilling registers.
 const LANES: usize = 8;
 
-/// Fused multiply-add for the fast kernels — but only when the build
-/// actually has hardware FMA. Without the `fma` target feature,
-/// [`f32::mul_add`] lowers to a correctly-rounded *software* fma (a
-/// libm call per element), roughly an order of magnitude slower than
-/// the multiply it fuses — the opposite of a fast mode. The fallback
-/// takes the two roundings; fast mode is tolerance-gated rather than
-/// bit-pinned precisely so this lowering choice is free.
-#[inline(always)]
-fn fma(a: f32, b: f32, acc: f32) -> f32 {
-    #[cfg(target_feature = "fma")]
-    {
-        a.mul_add(b, acc)
-    }
-    #[cfg(not(target_feature = "fma"))]
-    {
-        acc + a * b
-    }
-}
-
-/// Reassociated dot: 8 interleaved lanes of [`fma`] combined by
-/// a balanced tree at the end, scalar remainder folded in last. Fast
-/// mode only — the lane split reorders the additions.
-#[inline]
-fn dot_fast(a: &[f32], b: &[f32]) -> f32 {
-    let n = a.len().min(b.len());
-    let (a, b) = (&a[..n], &b[..n]);
-    let chunks = n / LANES;
-    let mut acc = [0.0f32; LANES];
-    for i in 0..chunks {
-        let av = &a[i * LANES..(i + 1) * LANES];
-        let bv = &b[i * LANES..(i + 1) * LANES];
-        for j in 0..LANES {
-            acc[j] = fma(av[j], bv[j], acc[j]);
-        }
-    }
-    let mut tail = 0.0f32;
-    for i in chunks * LANES..n {
-        tail = fma(a[i], b[i], tail);
-    }
-    let pairs = [
-        acc[0] + acc[4],
-        acc[1] + acc[5],
-        acc[2] + acc[6],
-        acc[3] + acc[7],
-    ];
-    ((pairs[0] + pairs[2]) + (pairs[1] + pairs[3])) + tail
-}
-
-/// Mode-dispatched dot product.
-#[inline]
-pub(crate) fn dot_in(a: &[f32], b: &[f32], mode: KernelMode) -> f32 {
-    match mode {
-        KernelMode::Reference => dot(a, b),
-        KernelMode::Fast => dot_fast(a, b),
-    }
-}
-
 /// `out += s · a`, the rank-1-update inner loop of every backward
-/// matmul. Element-independent, so the reference version vectorizes
-/// without reassociating anything; fast fuses the multiply-add.
+/// matmul. Element-independent, so it vectorizes without reassociating
+/// anything.
 #[inline]
-pub(crate) fn axpy(out: &mut [f32], s: f32, a: &[f32], mode: KernelMode) {
-    match mode {
-        KernelMode::Reference => {
-            for (o, &v) in out.iter_mut().zip(a) {
-                *o += s * v;
-            }
-        }
-        KernelMode::Fast => {
-            for (o, &v) in out.iter_mut().zip(a) {
-                *o = fma(s, v, *o);
-            }
-        }
+pub(crate) fn axpy(out: &mut [f32], s: f32, a: &[f32]) {
+    for (o, &v) in out.iter_mut().zip(a) {
+        *o += s * v;
     }
 }
 
@@ -196,7 +58,7 @@ pub(crate) fn add_assign(out: &mut [f32], a: &[f32]) {
 
 /// Eight forward dots advanced together: `rows` packs 8 row slices, and
 /// each lane's accumulator sees the exact left-to-right [`dot`] fold —
-/// blocking is across *independent* outputs, so reference mode stays
+/// blocking is across *independent* outputs, so the result stays
 /// bit-identical while the 8 chains fill the FPU pipeline.
 #[inline]
 fn dot_block8(rows: [&[f32]; LANES], x: &[f32]) -> [f32; LANES] {
@@ -213,8 +75,8 @@ fn dot_block8(rows: [&[f32]; LANES], x: &[f32]) -> [f32; LANES] {
 }
 
 /// Forward matmul: `out[p·rows + r] = dot(M_r, x_p)` for `n` packed
-/// column-vectors. Reference mode walks rows in blocks of [`LANES`]
-/// (scalar [`dot`] remainder); fast mode uses [`dot_fast`] per output.
+/// column-vectors, walking rows in blocks of [`LANES`] with a scalar
+/// [`dot`] remainder.
 pub(crate) fn matmul_forward(
     out: &mut [f32],
     m: &[f32],
@@ -222,7 +84,6 @@ pub(crate) fn matmul_forward(
     rows: usize,
     cols: usize,
     n: usize,
-    mode: KernelMode,
 ) {
     debug_assert_eq!(out.len(), n * rows);
     debug_assert_eq!(m.len(), rows * cols);
@@ -231,35 +92,26 @@ pub(crate) fn matmul_forward(
     for p in 0..n {
         let xp = &x[p * cols..(p + 1) * cols];
         let op = &mut out[p * rows..(p + 1) * rows];
-        match mode {
-            KernelMode::Reference => {
-                let mut r = 0;
-                while r < full {
-                    let block = dot_block8(
-                        [
-                            &m[r * cols..(r + 1) * cols],
-                            &m[(r + 1) * cols..(r + 2) * cols],
-                            &m[(r + 2) * cols..(r + 3) * cols],
-                            &m[(r + 3) * cols..(r + 4) * cols],
-                            &m[(r + 4) * cols..(r + 5) * cols],
-                            &m[(r + 5) * cols..(r + 6) * cols],
-                            &m[(r + 6) * cols..(r + 7) * cols],
-                            &m[(r + 7) * cols..(r + 8) * cols],
-                        ],
-                        xp,
-                    );
-                    op[r..r + LANES].copy_from_slice(&block);
-                    r += LANES;
-                }
-                for (rr, o) in op.iter_mut().enumerate().skip(full) {
-                    *o = dot(&m[rr * cols..(rr + 1) * cols], xp);
-                }
-            }
-            KernelMode::Fast => {
-                for (rr, o) in op.iter_mut().enumerate() {
-                    *o = dot_fast(&m[rr * cols..(rr + 1) * cols], xp);
-                }
-            }
+        let mut r = 0;
+        while r < full {
+            let block = dot_block8(
+                [
+                    &m[r * cols..(r + 1) * cols],
+                    &m[(r + 1) * cols..(r + 2) * cols],
+                    &m[(r + 2) * cols..(r + 3) * cols],
+                    &m[(r + 3) * cols..(r + 4) * cols],
+                    &m[(r + 4) * cols..(r + 5) * cols],
+                    &m[(r + 5) * cols..(r + 6) * cols],
+                    &m[(r + 6) * cols..(r + 7) * cols],
+                    &m[(r + 7) * cols..(r + 8) * cols],
+                ],
+                xp,
+            );
+            op[r..r + LANES].copy_from_slice(&block);
+            r += LANES;
+        }
+        for (rr, o) in op.iter_mut().enumerate().skip(full) {
+            *o = dot(&m[rr * cols..(rr + 1) * cols], xp);
         }
     }
 }
@@ -277,8 +129,8 @@ pub(crate) fn matmul_forward(
 /// ever alternated between *different* buffers — and turns both passes
 /// into vectorizable slice updates.
 // ALLOW: the argument list is the matmul gradient problem statement (two
-// outputs, three inputs, three dims, mode); a parameter struct would
-// just rename it.
+// outputs, three inputs, three dims); a parameter struct would just
+// rename it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn matmul_backward(
     gm: &mut [f32],
@@ -289,7 +141,6 @@ pub(crate) fn matmul_backward(
     rows: usize,
     cols: usize,
     n: usize,
-    mode: KernelMode,
 ) {
     debug_assert_eq!(g.len(), n * rows);
     debug_assert_eq!(gm.len(), rows * cols);
@@ -302,74 +153,15 @@ pub(crate) fn matmul_backward(
             if gr == 0.0 {
                 continue;
             }
-            axpy(&mut gm[r * cols..(r + 1) * cols], gr, xp, mode);
-            axpy(gxp, gr, &m[r * cols..(r + 1) * cols], mode);
-        }
-    }
-}
-
-/// The `gm` half of [`matmul_backward`] for a contiguous row block
-/// `r0..r0+block_rows` (`gm_block` is exactly that slice of the full
-/// matrix gradient). Each row's fold over reversed positions is the
-/// complete, unsplit sequence, so fanning row blocks across threads
-/// stays bit-identical.
-// ALLOW: same problem statement as `matmul_backward`, minus one output.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn matmul_backward_gm_block(
-    gm_block: &mut [f32],
-    g: &[f32],
-    x: &[f32],
-    r0: usize,
-    rows: usize,
-    cols: usize,
-    n: usize,
-    mode: KernelMode,
-) {
-    let block_rows = gm_block.len() / cols.max(1);
-    for p in (0..n).rev() {
-        let gp = &g[p * rows..(p + 1) * rows];
-        let xp = &x[p * cols..(p + 1) * cols];
-        for r in 0..block_rows {
-            let gr = gp[r0 + r];
-            if gr == 0.0 {
-                continue;
-            }
-            axpy(&mut gm_block[r * cols..(r + 1) * cols], gr, xp, mode);
-        }
-    }
-}
-
-/// The `gx` half of [`matmul_backward`] for a contiguous position block
-/// `p0..p0+block_n` (`gx_block` is exactly that slice of the packed
-/// operand gradient). Positions are independent in `gx`, so any
-/// disjoint split is bit-identical; rows walk forward within a position
-/// exactly as the scalar loop did.
-pub(crate) fn matmul_backward_gx_block(
-    gx_block: &mut [f32],
-    g: &[f32],
-    m: &[f32],
-    p0: usize,
-    rows: usize,
-    cols: usize,
-    mode: KernelMode,
-) {
-    let block_n = gx_block.len() / cols.max(1);
-    for p in (0..block_n).rev() {
-        let gp = &g[(p0 + p) * rows..(p0 + p + 1) * rows];
-        let gxp = &mut gx_block[p * cols..(p + 1) * cols];
-        for (r, &gr) in gp.iter().enumerate() {
-            if gr == 0.0 {
-                continue;
-            }
-            axpy(gxp, gr, &m[r * cols..(r + 1) * cols], mode);
+            axpy(&mut gm[r * cols..(r + 1) * cols], gr, xp);
+            axpy(gxp, gr, &m[r * cols..(r + 1) * cols]);
         }
     }
 }
 
 /// Forward fused bias + numerically stable log-softmax per chunk:
-/// `out_p = log_softmax(a_p + b)`. Identical arithmetic in both modes —
-/// the cost here is `exp`, which no reassociation removes — and exactly
-/// the composition of the unfused add + log-softmax ops.
+/// `out_p = log_softmax(a_p + b)`: exactly the composition of the
+/// unfused add + log-softmax ops.
 pub(crate) fn bias_log_softmax_forward(out: &mut [f32], a: &[f32], b: &[f32], n: usize) {
     let len = b.len();
     debug_assert_eq!(out.len(), n * len);
@@ -391,7 +183,7 @@ pub(crate) fn bias_log_softmax_forward(out: &mut [f32], a: &[f32], b: &[f32], n:
 /// Backward of the fused bias+log-softmax: per chunk (in **reverse**
 /// position order, for the shared bias gradient's accumulation order)
 /// both `ga` and `gb` receive `g[j] − (Σg)·softmax_j` — the single f32
-/// expression the unfused pair produces. Identical in both modes.
+/// expression the unfused pair produces.
 pub(crate) fn bias_log_softmax_backward(
     ga: &mut [f32],
     gb: &mut [f32],
@@ -541,15 +333,14 @@ mod tests {
             let x = wave(n * cols, f + 0.31);
             let naive = naive_matmul_forward(&m, &x, rows, cols, n);
             let mut blocked = vec![0.0f32; n * rows];
-            matmul_forward(&mut blocked, &m, &x, rows, cols, n, KernelMode::Reference);
+            matmul_forward(&mut blocked, &m, &x, rows, cols, n);
             for (i, (a, b)) in blocked.iter().zip(&naive).enumerate() {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "out[{}]: {} vs {}", i, a, b);
             }
         }
 
-        /// Split-pass backward (and its pooled block halves, at every
-        /// block split) are bit-identical to the naive interleaved loop,
-        /// including the `g == 0.0` skip path.
+        /// Split-pass backward is bit-identical to the naive interleaved
+        /// loop, including the `g == 0.0` skip path.
         #[test]
         fn split_backward_is_bit_identical(
             rows in 1usize..13,
@@ -571,89 +362,12 @@ mod tests {
 
             let mut gm = vec![0.0f32; rows * cols];
             let mut gx = vec![0.0f32; n * cols];
-            matmul_backward(&mut gm, &mut gx, &g, &m, &x, rows, cols, n, KernelMode::Reference);
+            matmul_backward(&mut gm, &mut gx, &g, &m, &x, rows, cols, n);
             for (a, b) in gm.iter().zip(&gm_naive) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
             for (a, b) in gx.iter().zip(&gx_naive) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-
-            // Every contiguous block split reproduces the same bits —
-            // the property the pooled backward stakes byte-identity on.
-            for split in 1..=rows {
-                let mut gm = vec![0.0f32; rows * cols];
-                let mut r0 = 0;
-                while r0 < rows {
-                    let hi = (r0 + split).min(rows);
-                    matmul_backward_gm_block(
-                        &mut gm[r0 * cols..hi * cols],
-                        &g, &x, r0, rows, cols, n, KernelMode::Reference,
-                    );
-                    r0 = hi;
-                }
-                for (a, b) in gm.iter().zip(&gm_naive) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits());
-                }
-            }
-            for split in 1..=n {
-                let mut gx = vec![0.0f32; n * cols];
-                let mut p0 = 0;
-                while p0 < n {
-                    let hi = (p0 + split).min(n);
-                    matmul_backward_gx_block(
-                        &mut gx[p0 * cols..hi * cols],
-                        &g, &m, p0, rows, cols, KernelMode::Reference,
-                    );
-                    p0 = hi;
-                }
-                for (a, b) in gx.iter().zip(&gx_naive) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits());
-                }
-            }
-        }
-
-        /// Fast-mode dots stay within a tight tolerance of the reference
-        /// fold (reassociation only reorders additions of like-scale
-        /// terms here).
-        #[test]
-        fn fast_dot_within_tolerance(
-            len in 0usize..70,
-            seed in 0u32..50,
-        ) {
-            let a = wave(len, 0.11 + seed as f32 * 0.013);
-            let b = wave(len, 0.29 + seed as f32 * 0.007);
-            let exact: f64 = a.iter().zip(&b).map(|(&x, &y)| f64::from(x) * f64::from(y)).sum();
-            let reference = dot(&a, &b);
-            let fast = dot_fast(&a, &b);
-            let tol = 1e-5 * (len.max(1) as f32);
-            prop_assert!((fast - reference).abs() <= tol,
-                "fast {} vs reference {} (len {})", fast, reference, len);
-            // And both are close to the f64 ground truth.
-            prop_assert!((f64::from(fast) - exact).abs() <= f64::from(tol));
-        }
-    }
-
-    #[test]
-    fn mode_parse_and_display_roundtrip() {
-        for m in [KernelMode::Reference, KernelMode::Fast] {
-            assert_eq!(KernelMode::parse(&m.to_string()), Some(m));
-        }
-        assert_eq!(KernelMode::parse("nonsense"), None);
-        assert_eq!(KernelMode::default(), KernelMode::Reference);
-    }
-
-    #[test]
-    fn fast_forward_matches_fast_dots() {
-        let (rows, cols, n) = (9, 11, 3);
-        let m = wave(rows * cols, 0.21);
-        let x = wave(n * cols, 0.17);
-        let mut out = vec![0.0f32; n * rows];
-        matmul_forward(&mut out, &m, &x, rows, cols, n, KernelMode::Fast);
-        for p in 0..n {
-            for r in 0..rows {
-                let want = dot_fast(&m[r * cols..(r + 1) * cols], &x[p * cols..(p + 1) * cols]);
-                assert_eq!(out[p * rows + r].to_bits(), want.to_bits());
             }
         }
     }

@@ -41,7 +41,6 @@ mod pretrain_mod;
 pub mod tape;
 mod tokenizer;
 
-pub use kernels::KernelMode;
 pub use model::{
     AdaptMode, CondLm, GradBuffer, LmConfig, LmError, SampleOptions, SeqGraph, SeqWorkspace,
 };

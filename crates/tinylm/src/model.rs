@@ -140,17 +140,6 @@ impl SeqWorkspace {
         Self::default()
     }
 
-    /// A fresh workspace whose tape is pinned to `mode` (the shared and
-    /// default-constructed workspaces follow the process-global
-    /// [`crate::kernels::mode`] instead). Used by tests that must not
-    /// depend on — or race with — the global.
-    pub fn with_mode(mode: crate::kernels::KernelMode) -> Self {
-        SeqWorkspace {
-            tape: Tape::with_mode(mode),
-            arena: GradArena::default(),
-        }
-    }
-
     /// Runs `f` with this thread's shared workspace.
     pub fn with_tls<R>(f: impl FnOnce(&mut SeqWorkspace) -> R) -> R {
         thread_local! {
@@ -517,20 +506,17 @@ impl CondLm {
         for &t in ctx {
             x.extend_from_slice(self.tok_row(t));
         }
-        // Sampling is tape-free, so the mode is read per call from the
-        // process global instead of a tape capture.
-        let mode = crate::kernels::mode();
         let b1 = &self.params[self.seg.b1.clone()];
         let mut hid = vec![0.0f32; h];
         for (r, hid_r) in hid.iter_mut().enumerate() {
             let row = &w1[r * input..(r + 1) * input];
-            *hid_r = (crate::kernels::dot_in(row, &x, mode) + b1[r]).tanh();
+            *hid_r = (crate::kernels::dot(row, &x) + b1[r]).tanh();
         }
         let b2 = &self.params[self.seg.b2.clone()];
         let mut logits = vec![0.0f32; v];
         for (r, logit) in logits.iter_mut().enumerate() {
             let row = &w2[r * h..(r + 1) * h];
-            *logit = crate::kernels::dot_in(row, &hid, mode) + b2[r];
+            *logit = crate::kernels::dot(row, &hid) + b2[r];
         }
         let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let log_z = max + logits.iter().map(|l| (l - max).exp()).sum::<f32>().ln();
@@ -720,38 +706,8 @@ impl CondLm {
     ///
     /// Panics if `graph` did not come from this workspace's tape.
     pub fn seq_grad_in(&self, graph: &SeqGraph, ws: &mut SeqWorkspace) -> GradBuffer {
-        self.seq_grad_opt_in(graph, ws, None)
-    }
-
-    /// [`CondLm::seq_grad_in`] with the matmul gradient work fanned over
-    /// a `parkit` pool via [`Tape::backward_into_pooled`] — byte-identical
-    /// to the serial pass at any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `graph` did not come from this workspace's tape.
-    pub fn seq_grad_pooled_in(
-        &self,
-        graph: &SeqGraph,
-        ws: &mut SeqWorkspace,
-        pool: &parkit::ThreadPool,
-    ) -> GradBuffer {
-        self.seq_grad_opt_in(graph, ws, Some(pool))
-    }
-
-    fn seq_grad_opt_in(
-        &self,
-        graph: &SeqGraph,
-        ws: &mut SeqWorkspace,
-        pool: Option<&parkit::ThreadPool>,
-    ) -> GradBuffer {
         let reuses_before = ws.arena.reuses();
-        match pool {
-            Some(pool) => ws
-                .tape
-                .backward_into_pooled(graph.root, &mut ws.arena, pool),
-            None => ws.tape.backward_into(graph.root, &mut ws.arena),
-        }
+        ws.tape.backward_into(graph.root, &mut ws.arena);
         if obskit::enabled() {
             obskit::counter_add("tape.grad_buffer_reuses", ws.arena.reuses() - reuses_before);
         }

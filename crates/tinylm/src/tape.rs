@@ -24,13 +24,8 @@
 //! arena every call.
 //!
 //! The numeric inner loops live in [`crate::kernels`]: blocked,
-//! vectorizable forward/backward kernels with a bit-identical
-//! `Reference` mode (the default) and an opt-in reassociating `Fast`
-//! mode. Each tape captures the process-global [`crate::kernels::mode`]
-//! when created or [`Tape::reset`] (unless pinned via
-//! [`Tape::with_mode`]), and [`Tape::backward_into_pooled`] fans the
-//! matmul gradient work over a `parkit` pool in byte-identical
-//! contiguous blocks.
+//! vectorizable forward/backward kernels, bit-identical to the scalar
+//! loops they replaced.
 //!
 //! # Example
 //!
@@ -60,9 +55,8 @@ impl VarId {
     }
 }
 
-use crate::kernels::{self, KernelMode};
+use crate::kernels;
 pub(crate) use kernels::dot;
-use parkit::ThreadPool;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -141,13 +135,6 @@ pub struct Tape {
     /// Value buffers recycled by [`Tape::reset`]; [`Tape::alloc`] pops
     /// from here before touching the allocator.
     spare: Vec<Vec<f32>>,
-    /// Which kernel arithmetic this tape's ops use; captured from the
-    /// process global at creation/reset unless pinned.
-    mode: KernelMode,
-    /// Set by [`Tape::with_mode`]: [`Tape::reset`] keeps the pinned mode
-    /// instead of re-capturing the global (used by tests that must not
-    /// depend on — or race with — the global).
-    pinned: bool,
 }
 
 /// A reusable gradient arena for [`Tape::backward_into`]: one buffer per
@@ -185,45 +172,16 @@ impl GradArena {
 }
 
 impl Tape {
-    /// Creates an empty tape running the process-global
-    /// [`crate::kernels::mode`] at this moment (re-captured on every
-    /// [`Tape::reset`]).
+    /// Creates an empty tape.
     pub fn new() -> Self {
-        Tape {
-            mode: kernels::mode(),
-            ..Self::default()
-        }
-    }
-
-    /// Creates an empty tape pinned to `mode`: [`Tape::reset`] keeps it
-    /// instead of re-reading the global. `Tape::default()` is pinned to
-    /// nothing but starts at [`KernelMode::Reference`] unpinned.
-    pub fn with_mode(mode: KernelMode) -> Self {
-        Tape {
-            mode,
-            pinned: true,
-            ..Self::default()
-        }
-    }
-
-    /// The kernel mode this tape's ops currently run in.
-    pub fn mode(&self) -> KernelMode {
-        self.mode
+        Self::default()
     }
 
     /// Clears all nodes while keeping every value buffer for reuse by
-    /// the next graph — the recycling half of the tape fast path. Also
-    /// re-captures the process-global kernel mode (unless this tape was
-    /// pinned with [`Tape::with_mode`]), which is how the thread-local
-    /// workspaces on pool workers pick up a mode set after they were
-    /// created: every hot path resets its workspace before building a
-    /// graph.
+    /// the next graph — the recycling half of the tape fast path.
     pub fn reset(&mut self) {
         self.spare.append(&mut self.vals);
         self.ops.clear();
-        if !self.pinned {
-            self.mode = kernels::mode();
-        }
     }
 
     /// An empty `Vec<f32>` with recycled capacity when available.
@@ -338,15 +296,7 @@ impl Tape {
         assert_eq!(self.vals[x.0].len(), cols, "vector size mismatch");
         let mut out = self.alloc();
         out.resize(rows, 0.0);
-        kernels::matmul_forward(
-            &mut out,
-            &self.vals[m.0],
-            &self.vals[x.0],
-            rows,
-            cols,
-            1,
-            self.mode,
-        );
+        kernels::matmul_forward(&mut out, &self.vals[m.0], &self.vals[x.0], rows, cols, 1);
         self.push(out, Op::MatVec { m, rows, cols, x })
     }
 
@@ -359,7 +309,7 @@ impl Tape {
     /// so the values equal `n` separate `matvec` calls exactly. The loop
     /// kernel advances eight row dots together (each still the exact
     /// [`dot`] fold — see [`crate::kernels`]), filling the FPU pipeline
-    /// without changing any output's bits in `Reference` mode.
+    /// without changing any output's bits.
     ///
     /// # Panics
     ///
@@ -369,15 +319,7 @@ impl Tape {
         assert_eq!(self.vals[x.0].len(), n * cols, "packed operand mismatch");
         let mut out = self.alloc();
         out.resize(n * rows, 0.0);
-        kernels::matmul_forward(
-            &mut out,
-            &self.vals[m.0],
-            &self.vals[x.0],
-            rows,
-            cols,
-            n,
-            self.mode,
-        );
+        kernels::matmul_forward(&mut out, &self.vals[m.0], &self.vals[x.0], rows, cols, n);
         self.push(
             out,
             Op::MatMul {
@@ -605,28 +547,6 @@ impl Tape {
     ///
     /// Panics if `root` is not scalar.
     pub fn backward_into(&self, root: VarId, arena: &mut GradArena) {
-        self.backward_into_in(root, arena, None);
-    }
-
-    /// [`Tape::backward_into`] with the matmul gradient work fanned over
-    /// a [`parkit::ThreadPool`].
-    ///
-    /// Byte-identical at any thread count: only the `MatMul` arm fans
-    /// out, splitting the matrix gradient into contiguous row blocks and
-    /// the packed operand gradient into contiguous position blocks.
-    /// Every task computes its elements' *complete* accumulation folds
-    /// (all positions in reverse for its rows; all rows forward for its
-    /// positions) over disjoint output slices — no partial folds are
-    /// combined, so no f32 addition is reassociated and the block split
-    /// never shows up in the bits. The fused bias+log-softmax backward
-    /// stays serial: its shared bias gradient crosses positions, and
-    /// splitting it would either reassociate that fold or duplicate the
-    /// `exp` work that dominates the op.
-    pub fn backward_into_pooled(&self, root: VarId, arena: &mut GradArena, pool: &ThreadPool) {
-        self.backward_into_in(root, arena, Some(pool));
-    }
-
-    fn backward_into_in(&self, root: VarId, arena: &mut GradArena, pool: Option<&ThreadPool>) {
         assert_eq!(self.vals[root.0].len(), 1, "backward root must be scalar");
         let n = self.vals.len();
         let prior = n.min(arena.bufs.len());
@@ -710,9 +630,7 @@ impl Tape {
                     } else {
                         let mut gm = std::mem::take(&mut grads[m.0]);
                         let mut gx = std::mem::take(&mut grads[x.0]);
-                        kernels::matmul_backward(
-                            &mut gm, &mut gx, &g, mv, xv, *rows, *cols, 1, self.mode,
-                        );
+                        kernels::matmul_backward(&mut gm, &mut gx, &g, mv, xv, *rows, *cols, 1);
                         grads[m.0] = gm;
                         grads[x.0] = gx;
                     }
@@ -753,16 +671,7 @@ impl Tape {
                     } else {
                         let mut gm = std::mem::take(&mut grads[m.0]);
                         let mut gx = std::mem::take(&mut grads[x.0]);
-                        match pool {
-                            Some(pool) if pool.threads() > 1 && *n > 1 && *cols > 0 => {
-                                self.matmul_backward_pooled(
-                                    &mut gm, &mut gx, &g, mv, xv, *rows, *cols, *n, pool,
-                                );
-                            }
-                            _ => kernels::matmul_backward(
-                                &mut gm, &mut gx, &g, mv, xv, *rows, *cols, *n, self.mode,
-                            ),
-                        }
+                        kernels::matmul_backward(&mut gm, &mut gx, &g, mv, xv, *rows, *cols, *n);
                         grads[m.0] = gm;
                         grads[x.0] = gx;
                     }
@@ -918,51 +827,6 @@ impl Tape {
             }
             grads[i] = g;
         }
-    }
-
-    /// Fans one MatMul node's backward over the pool: `gm` splits into
-    /// contiguous row blocks, `gx` into contiguous position blocks, one
-    /// task per block. Each task runs its elements' complete folds via
-    /// the block kernels, so the result is byte-identical to the serial
-    /// kernel at any thread count (property-tested across every block
-    /// split in `kernels`).
-    // ALLOW: the argument list is the matmul gradient problem statement
-    // (two outputs, three inputs, three dims, pool); bundling them in a
-    // struct for one private call site would just rename the problem.
-    #[allow(clippy::too_many_arguments)]
-    fn matmul_backward_pooled(
-        &self,
-        gm: &mut [f32],
-        gx: &mut [f32],
-        g: &[f32],
-        mv: &[f32],
-        xv: &[f32],
-        rows: usize,
-        cols: usize,
-        n: usize,
-        pool: &ThreadPool,
-    ) {
-        let mode = self.mode;
-        let t = pool.threads();
-        let row_block = rows.div_ceil(t).max(1);
-        let pos_block = n.div_ceil(t).max(1);
-        pool.scope(|scope| {
-            for (bi, chunk) in gm.chunks_mut(row_block * cols).enumerate() {
-                let r0 = bi * row_block;
-                scope.spawn(move || {
-                    kernels::matmul_backward_gm_block(chunk, g, xv, r0, rows, cols, n, mode);
-                });
-            }
-            for (bi, chunk) in gx.chunks_mut(pos_block * cols).enumerate() {
-                let p0 = bi * pos_block;
-                scope.spawn(move || {
-                    kernels::matmul_backward_gx_block(chunk, g, mv, p0, rows, cols, mode);
-                });
-            }
-        });
-        // A flight-recorder beat per pooled matmul keeps long training
-        // epochs visible in the black-box dump.
-        obskit::recorder::tick();
     }
 
     /// Number of nodes recorded.
